@@ -1,17 +1,13 @@
-//lint:file-ignore SA1019 this file deliberately pins the deprecated legacy surface.
-
 package mpq_test
 
 import (
 	"context"
-	"time"
 
 	"mpq"
 )
 
 // This file is the apidiff-style compatibility guard: it pins the
-// legacy free-function surface (now thin Deprecated wrappers over the
-// Engine API) at exact signatures. If a symbol is removed or its
+// exported surface at exact signatures. If a symbol is removed or its
 // signature changes, the package no longer compiles and CI fails —
 // before any caller outside this repository finds out.
 var (
@@ -21,20 +17,9 @@ var (
 	_ func() mpq.CostModel                       = mpq.DefaultCostModel
 	_ func(mpq.Space, int) int                   = mpq.MaxWorkers
 
-	// Legacy optimization entry points (Deprecated wrappers).
-	_ func(*mpq.Query, mpq.JobSpec) (*mpq.Answer, error)      = mpq.Optimize
-	_ func(*mpq.Query, mpq.JobSpec, int) (*mpq.Answer, error) = mpq.OptimizeParallelism
-	_ func(*mpq.Query, mpq.Space, bool) (*mpq.Plan, error)    = mpq.OptimizeSerial
-
-	// Legacy simulation entry points (Deprecated wrappers).
-	_ func() mpq.ClusterModel                                                                        = mpq.DefaultClusterModel
-	_ func(mpq.ClusterModel, *mpq.Query, mpq.JobSpec) (*mpq.ClusterResult, error)                    = mpq.SimulateMPQ
-	_ func(mpq.ClusterModel, *mpq.Query, mpq.JobSpec, mpq.ClusterFaults) (*mpq.ClusterResult, error) = mpq.SimulateMPQWithFaults
-
-	// Legacy distributed entry points (Deprecated wrappers).
-	_ func(string) (*mpq.TCPWorker, error)                      = mpq.ListenWorker
-	_ func([]string, time.Duration) (*mpq.TCPMaster, error)     = mpq.NewMaster
-	_ func([]string, mpq.MasterOptions) (*mpq.TCPMaster, error) = mpq.NewMasterWithOptions
+	// Cluster model and TCP workers — stable surface.
+	_ func() mpq.ClusterModel              = mpq.DefaultClusterModel
+	_ func(string) (*mpq.TCPWorker, error) = mpq.ListenWorker
 
 	// Workloads, serialization, execution — stable surface.
 	_ func(mpq.WorkloadParams, int64) (*mpq.Catalog, *mpq.Query, error) = mpq.GenerateWorkload

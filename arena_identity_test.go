@@ -1,5 +1,3 @@
-//lint:file-ignore SA1019 TestArenaOnOffBitIdenticalLegacySerial pins the deprecated serial wrapper to the arena bit-identity guarantee on purpose.
-
 package mpq_test
 
 import (
@@ -105,8 +103,8 @@ func TestArenaOnOffBitIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
-// The deprecated free functions ride the same arena path; pin one of
-// them too so the legacy surface keeps the bit-identity guarantee.
+// The serial engine with order-aware pruning rides the same arena path;
+// pin it on its own so the guarantee holds even under -short.
 func TestArenaOnOffBitIdenticalLegacySerial(t *testing.T) {
 	for _, space := range []mpq.Space{mpq.Linear, mpq.Bushy} {
 		t.Run(fmt.Sprint(space), func(t *testing.T) {
@@ -116,12 +114,12 @@ func TestArenaOnOffBitIdenticalLegacySerial(t *testing.T) {
 			}
 			spec := mpq.JobSpec{Space: space, Workers: 1, InterestingOrders: true}
 			wantBest, _ := arenaOffReference(t, q, spec)
-			got, err := mpq.OptimizeSerial(q, space, true)
+			ans, err := mpq.NewSerialEngine().Optimize(context.Background(), q, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mpq.PlanFingerprint(got) != wantBest {
-				t.Fatalf("%v: legacy serial plan differs from heap reference", space)
+			if mpq.PlanFingerprint(ans.Best) != wantBest {
+				t.Fatalf("%v: serial order-aware plan differs from heap reference", space)
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 // Command mpqlint runs the repository's static-analysis suite
 // (internal/analysis) over Go packages: the invariant analyzers
 // arenaescape, ctxflow, lockorder and tagswitch, plus stdlib-only
-// ports of the upstream nilness, copylocks and lostcancel passes.
+// ports of the upstream nilness and copylocks passes.
 //
 // Usage:
 //

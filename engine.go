@@ -64,7 +64,6 @@ type engineConfig struct {
 	parallelism  int
 	clusterModel ClusterModel
 	faults       ClusterFaults
-	faultsSet    bool
 	masterOpts   MasterOptions
 	costModel    CostModel
 }
@@ -102,7 +101,7 @@ func WithClusterModel(m ClusterModel) EngineOption {
 // WithClusterFaults scripts worker deaths for every query a SimEngine
 // optimizes; the recovery overhead shows up in Answer.Cluster.
 func WithClusterFaults(f ClusterFaults) EngineOption {
-	return func(c *engineConfig) { c.faults = f; c.faultsSet = true }
+	return func(c *engineConfig) { c.faults = f }
 }
 
 // WithMasterOptions sets the fault-tolerance configuration of a
@@ -217,13 +216,7 @@ func NewSimEngine(opts ...EngineOption) *SimEngine {
 func (e *SimEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
 	spec = e.cfg.applySpec(spec)
 	start := time.Now()
-	var res *cluster.Result
-	var err error
-	if e.cfg.faultsSet {
-		res, err = cluster.RunMPQWithFaultsContext(ctx, e.cfg.clusterModel, q, spec, e.cfg.faults)
-	} else {
-		res, err = cluster.RunMPQContext(ctx, e.cfg.clusterModel, q, spec)
-	}
+	res, err := cluster.RunMPQ(ctx, e.cfg.clusterModel, q, spec, e.cfg.faults)
 	if err != nil {
 		return nil, err
 	}
@@ -271,11 +264,7 @@ func NewTCPEngine(addrs []string, opts ...EngineOption) (*TCPEngine, error) {
 
 // Optimize implements Engine. The runtime fills Answer.Net directly.
 func (e *TCPEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
-	na, err := e.ms.OptimizeContext(ctx, q, e.cfg.applySpec(spec))
-	if err != nil {
-		return nil, err
-	}
-	return &na.Answer, nil
+	return e.ms.OptimizeContext(ctx, q, e.cfg.applySpec(spec))
 }
 
 // OptimizeBatch implements Engine; see netrun.Master.OptimizeBatch for
@@ -285,15 +274,7 @@ func (e *TCPEngine) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, e
 	for i, job := range jobs {
 		njobs[i] = netrun.Job{Query: job.Query, Spec: e.cfg.applySpec(job.Spec)}
 	}
-	nas, err := e.ms.OptimizeBatch(ctx, njobs)
-	if err != nil {
-		return nil, err
-	}
-	answers := make([]*Answer, len(nas))
-	for i, na := range nas {
-		answers[i] = &na.Answer
-	}
-	return answers, nil
+	return e.ms.OptimizeBatch(ctx, njobs)
 }
 
 // CacheConfig parameterizes the plan cache of a CachedEngine.

@@ -1,8 +1,7 @@
-//lint:file-ignore SA1019 this file is the behavioral coverage of the deprecated legacy wrappers; api_compat_test.go only pins that they compile.
-
 package mpq_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -37,24 +36,30 @@ func TestAllEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	master, err := mpq.NewMaster([]string{w.Addr()}, 30*time.Second)
+	tcp, err := mpq.NewTCPEngine([]string{w.Addr()},
+		mpq.WithMasterOptions(mpq.MasterOptions{Timeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	serialEng := mpq.NewSerialEngine()
+	localEng := mpq.NewInProcessEngine()
+	simEng := mpq.NewSimEngine(mpq.WithClusterModel(mpq.DefaultClusterModel()))
 
 	for _, space := range []mpq.Space{mpq.Linear, mpq.Bushy} {
 		workers := 4
 		spec := mpq.JobSpec{Space: space, Workers: workers}
 
-		serial, err := mpq.OptimizeSerial(q, space, false)
+		serialAns, err := serialEng.Optimize(ctx, q, mpq.JobSpec{Space: space})
 		if err != nil {
 			t.Fatal(err)
 		}
-		local, err := mpq.Optimize(q, spec)
+		serial := serialAns.Best
+		local, err := localEng.Optimize(ctx, q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := mpq.SimulateMPQ(mpq.DefaultClusterModel(), q, spec)
+		sim, err := simEng.Optimize(ctx, q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +67,7 @@ func TestAllEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := master.Optimize(q, spec)
+		dist, err := tcp.Optimize(ctx, q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,11 +113,12 @@ func TestMultiObjectiveEnginesAgree(t *testing.T) {
 		Space: mpq.Linear, Workers: 4,
 		Objective: mpq.MultiObjective, Alpha: 1,
 	}
-	local, err := mpq.Optimize(q, spec)
+	ctx := context.Background()
+	local, err := mpq.NewInProcessEngine().Optimize(ctx, q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := mpq.SimulateMPQ(mpq.DefaultClusterModel(), q, spec)
+	sim, err := mpq.NewSimEngine(mpq.WithClusterModel(mpq.DefaultClusterModel())).Optimize(ctx, q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,10 +168,10 @@ type Faults struct {
 	Speculate bool
 	// SpecMultiplier scales the straggler threshold (multiple of the
 	// median completed service time). Zero means
-	// DefaultSpeculationMultiplier; values below 1 are an error.
+	// core.DefaultSpeculationMultiplier; values below 1 are an error.
 	SpecMultiplier float64
 	// SpecFloor bounds the straggler threshold from below. Zero means
-	// DefaultSpeculationFloor; negative is an error.
+	// core.DefaultSpeculationFloor; negative is an error.
 	SpecFloor time.Duration
 }
 
@@ -325,32 +325,19 @@ type Result struct {
 // real constrained DP, and serialize their partition-optimal plans back;
 // the master decodes and FinalPrunes. One round, no worker↔worker
 // traffic.
-func RunMPQ(model Model, q *query.Query, spec core.JobSpec) (*Result, error) { //lint:allow ctxflow deprecated no-ctx wrapper, frozen by api_compat_test; use RunMPQContext
-	return RunMPQWithFaultsContext(context.Background(), model, q, spec, Faults{})
-}
-
-// RunMPQContext is RunMPQ with cooperative cancellation: every virtual
-// worker's dynamic program checks ctx, and the run returns an error
-// wrapping ctx's cause once all workers have stopped.
-func RunMPQContext(ctx context.Context, model Model, q *query.Query, spec core.JobSpec) (*Result, error) {
-	return RunMPQWithFaultsContext(ctx, model, q, spec, Faults{})
-}
-
-// RunMPQWithFaults simulates Algorithm 1 under the scripted failure
-// model: dead workers receive their request, crash, and never answer;
-// the master detects each death DetectTimeout after the request arrived
-// and re-dispatches the partition to a surviving worker (round-robin),
-// which runs it after its own share. The chosen plans are bit-identical
-// to the failure-free run — partitions are disjoint and workers
-// stateless — while VirtualTime, traffic, and Redispatches expose the
-// recovery overhead.
-func RunMPQWithFaults(model Model, q *query.Query, spec core.JobSpec, faults Faults) (*Result, error) { //lint:allow ctxflow deprecated no-ctx wrapper, frozen by api_compat_test; use RunMPQWithFaultsContext
-	return RunMPQWithFaultsContext(context.Background(), model, q, spec, faults)
-}
-
-// RunMPQWithFaultsContext is RunMPQWithFaults with cooperative
-// cancellation (see RunMPQContext).
-func RunMPQWithFaultsContext(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, faults Faults) (*Result, error) {
+//
+// faults scripts the failure model; the zero Faults is the failure-free
+// run. Dead workers receive their request, crash, and never answer; the
+// master detects each death DetectTimeout after the request arrived and
+// re-dispatches the partition to a surviving worker (round-robin), which
+// runs it after its own share. The chosen plans are bit-identical to the
+// failure-free run — partitions are disjoint and workers stateless —
+// while VirtualTime, traffic, and Redispatches expose the recovery
+// overhead.
+//
+// Every virtual worker's dynamic program checks ctx, and the run returns
+// an error wrapping ctx's cause once all workers have stopped.
+func RunMPQ(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, faults Faults) (*Result, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -46,7 +47,7 @@ func TestSimulationMatchesInProcess(t *testing.T) {
 		q := gen(t, 8, seed)
 		for _, m := range []int{1, 4, 16} {
 			spec := core.JobSpec{Space: partition.Linear, Workers: m}
-			sim, err := RunMPQ(Default(), q, spec)
+			sim, err := RunMPQ(context.Background(), Default(), q, spec, Faults{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +86,7 @@ func TestSimulationMatchesInProcessOnAllWorkloads(t *testing.T) {
 	}
 	for i, q := range queries {
 		spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-		sim, err := RunMPQ(Default(), q, spec)
+		sim, err := RunMPQ(context.Background(), Default(), q, spec, Faults{})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -103,7 +104,7 @@ func TestNetworkBytesLinearInWorkers(t *testing.T) {
 	q := gen(t, 12, 1)
 	var bytesPerWorker []float64
 	for _, m := range []int{2, 4, 8, 16} {
-		res, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
+		res, err := RunMPQ(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: m}, Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestNetworkBytesLinearInWorkers(t *testing.T) {
 
 func TestOneRoundTwoMessagesPerWorker(t *testing.T) {
 	q := gen(t, 8, 0)
-	res, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: 8})
+	res, err := RunMPQ(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: 8}, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestWorkerTimeDecreasesWithParallelism(t *testing.T) {
 	q := gen(t, 14, 2)
 	var prev time.Duration = 1<<62 - 1
 	for _, m := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		res, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: m})
+		res, err := RunMPQ(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: m}, Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestWorkReductionMatchesTheory(t *testing.T) {
 	model := Default()
 	var prevMax uint64
 	for i, m := range []int{1, 2, 4, 8, 16} {
-		res, err := RunMPQ(model, q, core.JobSpec{Space: partition.Linear, Workers: m})
+		res, err := RunMPQ(context.Background(), model, q, core.JobSpec{Space: partition.Linear, Workers: m}, Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +178,7 @@ func TestMultiObjectiveSimulation(t *testing.T) {
 		Space: partition.Linear, Workers: 4,
 		Objective: core.MultiObjective, Alpha: 1,
 	}
-	sim, err := RunMPQ(Default(), q, spec)
+	sim, err := RunMPQ(context.Background(), Default(), q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestMultiObjectiveSimulation(t *testing.T) {
 	}
 	// MO responses carry whole frontiers, so traffic exceeds the
 	// single-objective run's.
-	single, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: 4})
+	single, err := RunMPQ(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: 4}, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestMultiObjectiveSimulation(t *testing.T) {
 
 func TestMemoryMetricMatchesDP(t *testing.T) {
 	q := gen(t, 10, 5)
-	res, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: 4})
+	res, err := RunMPQ(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: 4}, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,13 +250,13 @@ func TestFaultsValidate(t *testing.T) {
 func TestFaultedSimulationBitIdentical(t *testing.T) {
 	q := gen(t, 10, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	clean, err := RunMPQ(Default(), q, spec)
+	clean, err := RunMPQ(context.Background(), Default(), q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, deadSet := range [][]int{{0}, {3, 5}, {0, 1, 2, 3, 4, 5, 6}} {
 		faults := Faults{Dead: deadSet, DetectTimeout: 5 * time.Second}
-		res, err := RunMPQWithFaults(Default(), q, spec, faults)
+		res, err := RunMPQ(context.Background(), Default(), q, spec, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +297,7 @@ func TestRecoveryOverheadGrowsWithDeaths(t *testing.T) {
 		for i := range dead {
 			dead[i] = i
 		}
-		res, err := RunMPQWithFaults(Default(), q, spec, Faults{Dead: dead})
+		res, err := RunMPQ(context.Background(), Default(), q, spec, Faults{Dead: dead})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,10 +332,10 @@ func TestFaultScheduleReducesToMPQTime(t *testing.T) {
 
 func TestRunMPQRejectsInvalid(t *testing.T) {
 	q := gen(t, 8, 0)
-	if _, err := RunMPQ(Model{}, q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
+	if _, err := RunMPQ(context.Background(), Model{}, q, core.JobSpec{Space: partition.Linear, Workers: 2}, Faults{}); err == nil {
 		t.Fatal("invalid model accepted")
 	}
-	if _, err := RunMPQ(Default(), q, core.JobSpec{Space: partition.Linear, Workers: 3}); err == nil {
+	if _, err := RunMPQ(context.Background(), Default(), q, core.JobSpec{Space: partition.Linear, Workers: 3}, Faults{}); err == nil {
 		t.Fatal("invalid worker count accepted")
 	}
 }
@@ -342,7 +343,7 @@ func TestRunMPQRejectsInvalid(t *testing.T) {
 func TestVirtualTimeIncludesLatencyFloor(t *testing.T) {
 	q := gen(t, 6, 0)
 	model := Default()
-	res, err := RunMPQ(model, q, core.JobSpec{Space: partition.Linear, Workers: 2})
+	res, err := RunMPQ(context.Background(), model, q, core.JobSpec{Space: partition.Linear, Workers: 2}, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}

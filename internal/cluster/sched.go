@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"time"
+
+	"mpq/internal/core"
 )
 
 // This file is the adaptive virtual-time scheduler: an event-driven
@@ -12,7 +14,7 @@ import (
 // than the closed-form one-round schedule — a bounded node pool
 // (Model.Nodes), per-node resource capacities (Model.Resources), a
 // stall script (Faults.Stalled), or speculation (Faults.Speculate).
-// Without any of those, RunMPQWithFaultsContext keeps using the legacy
+// Without any of those, RunMPQ keeps using the closed-form
 // MPQTime/faultSchedule formulas bit for bit.
 
 // NodeResources describes one simulated node's capacities for the
@@ -44,13 +46,6 @@ const (
 	// DefaultStallFactor is the compute slowdown of a node listed in
 	// Faults.Stalled when StallFactor is zero.
 	DefaultStallFactor = 100
-	// DefaultSpeculationMultiplier mirrors the TCP master's straggler
-	// threshold: speculate once a partition's master-observed elapsed
-	// time exceeds this multiple of the median completed service time.
-	DefaultSpeculationMultiplier = 2
-	// DefaultSpeculationFloor bounds the virtual straggler threshold
-	// from below, mirroring netrun.DefaultSpeculationFloor.
-	DefaultSpeculationFloor = 250 * time.Millisecond
 )
 
 // simInput is the per-partition data the scheduler needs: exact message
@@ -136,14 +131,6 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 	stallFactor := f.StallFactor
 	if stallFactor == 0 {
 		stallFactor = DefaultStallFactor
-	}
-	specMult := f.SpecMultiplier
-	if specMult == 0 {
-		specMult = DefaultSpeculationMultiplier
-	}
-	specFloor := f.SpecFloor
-	if specFloor == 0 {
-		specFloor = DefaultSpeculationFloor
 	}
 	dead := make([]bool, n)
 	for _, d := range f.Dead {
@@ -280,13 +267,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 	nDone := 0
 	var svcTimes []time.Duration
 	threshold := func() (time.Duration, bool) {
-		if len(svcTimes) == 0 {
-			return 0, false
-		}
-		sorted := slices.Clone(svcTimes)
-		slices.Sort(sorted)
-		thr := time.Duration(float64(sorted[len(sorted)/2]) * specMult)
-		return max(thr, specFloor), true
+		return core.StragglerThreshold(svcTimes, f.SpecMultiplier, f.SpecFloor)
 	}
 	// liveCopies reports the in-flight (not done, not canceled) copies
 	// of a partition.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -15,13 +16,13 @@ import (
 func TestAdaptivePlanMatchesLegacy(t *testing.T) {
 	q := gen(t, 10, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
-	legacy, err := RunMPQ(Default(), q, spec)
+	legacy, err := RunMPQ(context.Background(), Default(), q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := Default()
 	model.Nodes = 3
-	adaptive, err := RunMPQ(model, q, spec)
+	adaptive, err := RunMPQ(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +45,18 @@ func TestStallSpeculationBeatsWaitingDeterministically(t *testing.T) {
 	model := Default()
 	model.Nodes = 4
 
-	clean, err := RunMPQ(model, q, spec)
+	clean, err := RunMPQ(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stall := Faults{Stalled: []int{0}, StallFactor: 50}
-	slow, err := RunMPQWithFaults(model, q, spec, stall)
+	slow, err := RunMPQ(context.Background(), model, q, spec, stall)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stallSpec := stall
 	stallSpec.Speculate = true
-	fast, err := RunMPQWithFaults(model, q, spec, stallSpec)
+	fast, err := RunMPQ(context.Background(), model, q, spec, stallSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestStallSpeculationBeatsWaitingDeterministically(t *testing.T) {
 	}
 
 	// Determinism: the virtual schedule must replay bit for bit.
-	again, err := RunMPQWithFaults(model, q, spec, stallSpec)
+	again, err := RunMPQ(context.Background(), model, q, spec, stallSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestAdaptiveDeadNodeRecovers(t *testing.T) {
 	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
 	model := Default()
 	model.Nodes = 3
-	clean, err := RunMPQ(model, q, spec)
+	clean, err := RunMPQ(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead, err := RunMPQWithFaults(model, q, spec, Faults{Dead: []int{1}, DetectTimeout: time.Second})
+	dead, err := RunMPQ(context.Background(), model, q, spec, Faults{Dead: []int{1}, DetectTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +129,13 @@ func TestMultiResourceCPUShapesSchedule(t *testing.T) {
 	model := Default()
 	model.Nodes = 2
 	model.Resources = []NodeResources{{CPU: 1}, {CPU: 1}}
-	base, err := RunMPQ(model, q, spec)
+	base, err := RunMPQ(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast := model
 	fast.Resources = []NodeResources{{CPU: 4}, {CPU: 4}}
-	quick, err := RunMPQ(fast, q, spec)
+	quick, err := RunMPQ(context.Background(), fast, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +156,13 @@ func TestMultiResourceMemorySpill(t *testing.T) {
 	model := Default()
 	model.Nodes = 2
 	model.Resources = []NodeResources{{CPU: 1}, {CPU: 1}}
-	roomy, err := RunMPQ(model, q, spec)
+	roomy, err := RunMPQ(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tight := model
 	tight.Resources = []NodeResources{{CPU: 1, MemoryBytes: 256}, {CPU: 1, MemoryBytes: 256}}
-	spilled, err := RunMPQ(tight, q, spec)
+	spilled, err := RunMPQ(context.Background(), tight, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestAdaptiveValidation(t *testing.T) {
 	model := Default()
 	model.Nodes = 3
 	model.Resources = []NodeResources{{CPU: 1}, {CPU: 1}} // 2 entries, 3 nodes
-	if _, err := RunMPQ(model, q, spec); err == nil {
+	if _, err := RunMPQ(context.Background(), model, q, spec, Faults{}); err == nil {
 		t.Fatal("mismatched resource slice accepted")
 	}
 	if err := (Faults{Stalled: []int{0}, StallFactor: 0.5}).Validate(4); err == nil {

@@ -13,7 +13,7 @@ import (
 // runMPQ simulates one MPQ job on the configured cluster, honoring the
 // experiment's cancellation context.
 func runMPQ(cfg Config, q *query.Query, spec core.JobSpec) (*cluster.Result, error) {
-	return cluster.RunMPQContext(cfg.context(), cfg.Model, q, spec)
+	return cluster.RunMPQ(cfg.context(), cfg.Model, q, spec, cluster.Faults{})
 }
 
 // Fig2Panel is one curve set of Figure 2: MPQ scaling for one plan space

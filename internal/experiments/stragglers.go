@@ -75,7 +75,7 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 		if err := cfg.canceled(); err != nil {
 			return nil, err
 		}
-		res, err := cluster.RunMPQWithFaultsContext(cfg.context(), model, q, spec, cluster.Faults{})
+		res, err := cluster.RunMPQ(cfg.context(), model, q, spec, cluster.Faults{})
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +102,7 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 			times := make([]float64, 0, len(queries))
 			var wasted, work uint64
 			for i, q := range queries {
-				res, err := cluster.RunMPQWithFaultsContext(cfg.context(), model, q, spec, faults)
+				res, err := cluster.RunMPQ(cfg.context(), model, q, spec, faults)
 				if err != nil {
 					return nil, err
 				}

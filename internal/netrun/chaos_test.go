@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -70,11 +71,11 @@ func TestAnyMinorityFaultedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleanAddrs := startWorkers(t, 4)
-	cleanMaster, err := NewMaster(cleanAddrs, 30*time.Second)
+	cleanMaster, err := NewMasterWithOptions(cleanAddrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := cleanMaster.Optimize(q, spec)
+	clean, err := cleanMaster.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +100,13 @@ func TestAnyMinorityFaultedBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ans, err := ms.Optimize(q, spec)
+				ans, err := ms.OptimizeContext(context.Background(), q, spec)
 				if err != nil {
 					t.Fatalf("%v with k=%d not survived: %v", action, k, err)
 				}
 				assertBitIdentical(t, ans.Best, clean.Best, local.Best)
-				if ans.Redispatched < k {
-					t.Fatalf("Redispatched = %d, want >= %d", ans.Redispatched, k)
+				if ans.Net.Redispatched < k {
+					t.Fatalf("Redispatched = %d, want >= %d", ans.Net.Redispatched, k)
 				}
 			})
 		}
@@ -142,11 +143,11 @@ func TestEndToEndEquivalenceUnderRandomFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		cleanAddrs := startWorkers(t, 4)
-		cleanMaster, err := NewMaster(cleanAddrs, 30*time.Second)
+		cleanMaster, err := NewMasterWithOptions(cleanAddrs, Options{Timeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		clean, err := cleanMaster.Optimize(q, spec)
+		clean, err := cleanMaster.OptimizeContext(context.Background(), q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestEndToEndEquivalenceUnderRandomFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulted, err := ms.Optimize(q, spec)
+		faulted, err := ms.OptimizeContext(context.Background(), q, spec)
 		if err != nil {
 			t.Fatalf("iter %d (%v %d tables): %v", it, shape, n, err)
 		}
@@ -206,7 +207,7 @@ func TestMultiObjectiveFaultedFrontierIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := ms.Optimize(q, spec)
+	dist, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,15 +244,15 @@ func TestWorkerExclusionAfterRepeatedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wire.PlanFingerprint(ans.Best) != wire.PlanFingerprint(local.Best) {
 		t.Fatal("plan differs after worker exclusion")
 	}
-	if ans.Redispatched < 2 {
-		t.Fatalf("Redispatched = %d, want >= 2", ans.Redispatched)
+	if ans.Net.Redispatched < 2 {
+		t.Fatalf("Redispatched = %d, want >= 2", ans.Net.Redispatched)
 	}
 	// Exclusion after 2 consecutive failures: the dead worker saw exactly
 	// its failure-budget worth of jobs, not its whole share of 4.
@@ -274,19 +275,19 @@ func TestDuplicateResponseIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, _ := startChaosWorkers(t, 1, []FaultPlan{{0: DuplicateResponse, 2: DuplicateResponse}})
-	ms, err := NewMaster(addrs, 10*time.Second)
+	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wire.PlanFingerprint(ans.Best) != wire.PlanFingerprint(local.Best) {
 		t.Fatal("plan differs under duplicated responses")
 	}
-	if ans.Redispatched != 0 {
-		t.Fatalf("Redispatched = %d: duplicates must not look like failures", ans.Redispatched)
+	if ans.Net.Redispatched != 0 {
+		t.Fatalf("Redispatched = %d: duplicates must not look like failures", ans.Net.Redispatched)
 	}
 	if ans.Net.IgnoredFrames != 2 {
 		t.Fatalf("IgnoredFrames = %d, want 2 (one per duplicated frame)", ans.Net.IgnoredFrames)
@@ -308,7 +309,7 @@ func TestDuplicateAttributionAcrossBatchQueries(t *testing.T) {
 	// proxy duplicates the response of A's last unit (arrival index 3),
 	// so the duplicate is read while B's first unit is in flight.
 	addrs, _ := startChaosWorkers(t, 1, []FaultPlan{{3: DuplicateResponse}})
-	ms, err := NewMaster(addrs, 10*time.Second)
+	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestBatchBitIdenticalUnderFaults(t *testing.T) {
 	if wire.PlanFingerprint(answers[1].Best) != wire.PlanFingerprint(localB.Best) {
 		t.Fatal("batch answer 1 differs from the in-process plan")
 	}
-	redispatched := answers[0].Redispatched + answers[1].Redispatched
+	redispatched := answers[0].Net.Redispatched + answers[1].Net.Redispatched
 	if redispatched < 3 {
 		t.Fatalf("Redispatched = %d across the batch, want >= 3", redispatched)
 	}
@@ -394,7 +395,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := gen(t, 6, 0)
-	_, err = ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 2})
+	_, err = ms.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2})
 	if err == nil {
 		t.Fatal("exhausted retry budget not reported")
 	}
@@ -416,15 +417,15 @@ func TestSlowDripWithinDeadlineSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wire.PlanFingerprint(ans.Best) != wire.PlanFingerprint(local.Best) {
 		t.Fatal("plan differs under slow drip")
 	}
-	if ans.Redispatched != 0 {
-		t.Fatalf("Redispatched = %d for a within-deadline drip", ans.Redispatched)
+	if ans.Net.Redispatched != 0 {
+		t.Fatalf("Redispatched = %d for a within-deadline drip", ans.Net.Redispatched)
 	}
 }
 
@@ -444,14 +445,14 @@ func TestSlowDripBeyondDeadlineRedispatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wire.PlanFingerprint(ans.Best) != wire.PlanFingerprint(local.Best) {
 		t.Fatal("plan differs after drip timeout")
 	}
-	if ans.Redispatched == 0 {
+	if ans.Net.Redispatched == 0 {
 		t.Fatal("over-deadline drip was not re-dispatched")
 	}
 }

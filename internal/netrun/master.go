@@ -21,15 +21,6 @@ const (
 	DefaultTimeout           = 2 * time.Minute
 	DefaultMaxAttempts       = 3
 	DefaultMaxWorkerFailures = 2
-	// DefaultSpeculationMultiplier is the straggler threshold multiplier
-	// used when Options.Speculate is set and SpeculationMultiplier is
-	// zero: a partition is a straggler once its elapsed time exceeds
-	// twice the median service time of the query's completed partitions.
-	DefaultSpeculationMultiplier = 2
-	// DefaultSpeculationFloor bounds the straggler threshold from below
-	// so near-instant medians (tiny queries) cannot trigger speculation
-	// on ordinary scheduling jitter.
-	DefaultSpeculationFloor = 250 * time.Millisecond
 	// cancelWriteTimeout bounds the advisory CancelRequest frame write
 	// to a speculative loser; a peer too wedged to accept 8 bytes loses
 	// its connection on the next use anyway.
@@ -69,11 +60,11 @@ type Options struct {
 	// SpeculationMultiplier scales the straggler threshold: a partition
 	// is speculated once its elapsed time exceeds Multiplier × the median
 	// service time of its query's completed partitions. Zero means
-	// DefaultSpeculationMultiplier; values below 1 (which would speculate
+	// core.DefaultSpeculationMultiplier; values below 1 (which would speculate
 	// faster-than-median partitions) are an error.
 	SpeculationMultiplier float64
 	// SpeculationFloor bounds the straggler threshold from below. Zero
-	// means DefaultSpeculationFloor; negative is an error.
+	// means core.DefaultSpeculationFloor; negative is an error.
 	SpeculationFloor time.Duration
 	// ReadmitAfter enables re-admission probes: a worker excluded by
 	// MaxWorkerFailures is sent a low-priority probe clone of a pending
@@ -88,18 +79,6 @@ type Options struct {
 // It is an alias of core.NetStats so engine-agnostic answers can carry
 // it without importing the transport.
 type NetStats = core.NetStats
-
-// Answer is the in-process answer with measured network statistics:
-// the embedded core.Answer.Net is always non-nil for answers produced
-// by this master.
-type Answer struct {
-	core.Answer
-	// Redispatched counts job attempts that failed at the transport level
-	// and were re-queued onto another worker (or retried). Zero in a
-	// failure-free run. It mirrors Net.Redispatched; both are kept so
-	// pre-Engine callers keep compiling.
-	Redispatched int
-}
 
 // Job is one (query, job spec) unit of a batch: OptimizeBatch pipelines
 // the plan-space partitions of many independent queries through one
@@ -120,21 +99,6 @@ type Master struct {
 	specMultiplier    float64
 	specFloor         time.Duration
 	readmitAfter      time.Duration
-}
-
-// NewMaster returns a master that will distribute work over the given
-// worker addresses. timeout bounds each job attempt end-to-end — the
-// dial, the request send, the worker's compute and the response receive
-// all share it (zero means DefaultTimeout). It is exactly
-// NewMasterWithOptions(addrs, Options{Timeout: timeout}).
-func NewMaster(addrs []string, timeout time.Duration) (*Master, error) {
-	return NewMasterWithOptions(addrs, Options{Timeout: timeout})
-}
-
-// NewWeightedMaster additionally takes per-worker performance weights;
-// see Options.Weights. nil weights mean homogeneous workers.
-func NewWeightedMaster(addrs []string, weights []float64, timeout time.Duration) (*Master, error) {
-	return NewMasterWithOptions(addrs, Options{Weights: weights, Timeout: timeout})
 }
 
 // NewMasterWithOptions returns a master with full fault-tolerance
@@ -197,12 +161,6 @@ func NewMasterWithOptions(addrs []string, opts Options) (*Master, error) {
 	}
 	if ms.maxWorkerFailures == 0 {
 		ms.maxWorkerFailures = DefaultMaxWorkerFailures
-	}
-	if ms.specMultiplier == 0 {
-		ms.specMultiplier = DefaultSpeculationMultiplier
-	}
-	if ms.specFloor == 0 {
-		ms.specFloor = DefaultSpeculationFloor
 	}
 	return ms, nil
 }
@@ -547,27 +505,24 @@ func (st *connState) ownerOf(seq uint32, fallback int) int {
 	return fallback
 }
 
-// Optimize runs MPQ over the remote workers. The spec's Workers field
-// sets the number of plan-space partitions; if it exceeds the number of
-// worker addresses, partitions are assigned round-robin (or by weight)
-// and executed sequentially per worker.
+// OptimizeContext runs MPQ over the remote workers. The spec's Workers
+// field sets the number of plan-space partitions; if it exceeds the
+// number of worker addresses, partitions are assigned round-robin (or by
+// weight) and executed sequentially per worker. Every answer's Net is
+// non-nil.
 //
-// Optimize survives worker failures: see the package comment for the
-// failure model. Whenever at least one worker survives and the retry
+// OptimizeContext survives worker failures: see the package comment for
+// the failure model. Whenever at least one worker survives and the retry
 // budget suffices, the returned plan is bit-identical to a failure-free
 // run, because responses are aggregated in partition-ID order.
-func (ms *Master) Optimize(q *query.Query, spec core.JobSpec) (*Answer, error) { //lint:allow ctxflow deprecated no-ctx wrapper, frozen by api_compat_test; use OptimizeContext
-	return ms.OptimizeContext(context.Background(), q, spec)
-}
-
-// OptimizeContext is Optimize with cooperative cancellation: when ctx
-// is canceled the dispatcher stops handing out work, force-closes every
-// connection it opened (unblocking worker loops stuck in reads), aborts
-// in-flight dials, waits for all its goroutines, and returns an error
-// wrapping ctx's cause. A ctx deadline also tightens each job attempt's
-// transport deadline, so per-job deadlines flow from
+//
+// When ctx is canceled the dispatcher stops handing out work,
+// force-closes every connection it opened (unblocking worker loops stuck
+// in reads), aborts in-flight dials, waits for all its goroutines, and
+// returns an error wrapping ctx's cause. A ctx deadline also tightens
+// each job attempt's transport deadline, so per-job deadlines flow from
 // context.WithDeadline rather than a bespoke field.
-func (ms *Master) OptimizeContext(ctx context.Context, q *query.Query, spec core.JobSpec) (*Answer, error) {
+func (ms *Master) OptimizeContext(ctx context.Context, q *query.Query, spec core.JobSpec) (*core.Answer, error) {
 	answers, err := ms.OptimizeBatch(ctx, []Job{{Query: q, Spec: spec}})
 	if err != nil {
 		return nil, err
@@ -582,15 +537,15 @@ func (ms *Master) OptimizeContext(ctx context.Context, q *query.Query, spec core
 // on the same connections — in a failure-free batch the master dials
 // each worker exactly once instead of once per query (a transport
 // failure drops that worker's connection, so recovery adds redials).
-// Failed units are re-dispatched exactly as in Optimize;
+// Failed units are re-dispatched exactly as in OptimizeContext;
 // worker-exclusion state spans the whole batch.
 //
 // Answers are returned in input order and are bit-identical to running
-// each job through Optimize by itself: partitions of one query are
+// each job through OptimizeContext by itself: partitions of one query are
 // aggregated in partition-ID order regardless of how the batch
 // interleaved them. Any fatal error or exhausted retry budget aborts
 // the whole batch.
-func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, error) {
+func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("netrun: empty batch")
 	}
@@ -663,9 +618,9 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 	consecFails := make([]int, k)
 	var retryQ []unit
 	outstanding := 0
-	answers := make([]*Answer, len(jobs))
+	answers := make([]*core.Answer, len(jobs))
 	for qi := range answers {
-		answers[qi] = &Answer{Answer: core.Answer{Net: &core.NetStats{}}}
+		answers[qi] = &core.Answer{Net: &core.NetStats{}}
 	}
 
 	// Adaptive-scheduling state, inert unless Speculate or ReadmitAfter
@@ -686,22 +641,9 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 
 	isDone := func(u unit) bool { return done[u.qi][u.partID].resp != nil }
 
-	// threshold is one query's straggler bar: SpeculationMultiplier × the
-	// median service time of its completed partitions, never below
-	// SpeculationFloor. Unknown until at least one partition finished —
-	// with no baseline there is no notion of "slow".
+	// threshold is one query's straggler bar (see core.StragglerThreshold).
 	threshold := func(qi int) (time.Duration, bool) {
-		ts := svcTimes[qi]
-		if len(ts) == 0 {
-			return 0, false
-		}
-		sorted := slices.Clone(ts)
-		slices.Sort(sorted)
-		thr := time.Duration(float64(sorted[len(sorted)/2]) * ms.specMultiplier)
-		if thr < ms.specFloor {
-			thr = ms.specFloor
-		}
-		return thr, true
+		return core.StragglerThreshold(svcTimes[qi], ms.specMultiplier, ms.specFloor)
 	}
 
 	sendTo := func(ni int, u unit, probe bool) {
@@ -1060,7 +1002,6 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 				return nil, fmt.Errorf("netrun: partition %d failed %d times, giving up: %w",
 					u.partID, u.attempts, res.err)
 			}
-			ans.Redispatched++
 			ans.Net.Redispatched++
 			retryQ = append(retryQ, u)
 			continue
@@ -1120,7 +1061,6 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*Answer, err
 			return nil, fmt.Errorf("netrun: partition %d failed %d times, giving up: %w",
 				u.partID, u.attempts, res.err)
 		}
-		ans.Redispatched++
 		ans.Net.Redispatched++
 		retryQ = append(retryQ, u)
 	}

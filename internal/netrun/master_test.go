@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"io"
 	"net"
 	"strings"
@@ -87,7 +88,7 @@ func nan() float64 {
 
 // Zero values mean defaults, not zero budgets.
 func TestNewMasterDefaults(t *testing.T) {
-	ms, err := NewMaster([]string{"a:1"}, 0)
+	ms, err := NewMasterWithOptions([]string{"a:1"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +125,12 @@ func TestOptimizeAllWorkersDead(t *testing.T) {
 		addrs[i] = ln.Addr().String()
 		ln.Close()
 	}
-	ms, err := NewMaster(addrs, 2*time.Second)
+	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 6, 0)
-	_, err = ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 2})
+	_, err = ms.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2})
 	if err == nil {
 		t.Fatal("all-dead cluster not reported")
 	}
@@ -173,7 +174,7 @@ func TestOptimizeClosesHalfOpenConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := gen(t, 6, 0)
-	if _, err := ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
+	if _, err := ms.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
 		t.Fatal("mute worker not reported")
 	}
 	select {

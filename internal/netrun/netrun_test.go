@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"net"
 	"strings"
@@ -89,14 +90,14 @@ func TestReadFrameTruncated(t *testing.T) {
 // as the in-process engine.
 func TestDistributedMatchesInProcess(t *testing.T) {
 	addrs := startWorkers(t, 4)
-	ms, err := NewMaster(addrs, 30*time.Second)
+	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 3; seed++ {
 		q := gen(t, 8, seed)
 		spec := core.JobSpec{Space: partition.Linear, Workers: 4}
-		dist, err := ms.Optimize(q, spec)
+		dist, err := ms.OptimizeContext(context.Background(), q, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,13 +121,13 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 // whole plan space.
 func TestMorePartitionsThanWorkers(t *testing.T) {
 	addrs := startWorkers(t, 3)
-	ms, err := NewMaster(addrs, 30*time.Second)
+	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 8, 7)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 16}
-	dist, err := ms.Optimize(q, spec)
+	dist, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestMorePartitionsThanWorkers(t *testing.T) {
 
 func TestDistributedMultiObjective(t *testing.T) {
 	addrs := startWorkers(t, 2)
-	ms, err := NewMaster(addrs, 30*time.Second)
+	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestDistributedMultiObjective(t *testing.T) {
 		Space: partition.Linear, Workers: 4,
 		Objective: core.MultiObjective, Alpha: 1,
 	}
-	dist, err := ms.Optimize(q, spec)
+	dist, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +169,14 @@ func TestDistributedMultiObjective(t *testing.T) {
 
 func TestWorkerReportsJobErrorsInBand(t *testing.T) {
 	addrs := startWorkers(t, 1)
-	ms, err := NewMaster(addrs, 10*time.Second)
+	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 4, 0)
 	// 64 workers exceeds max for 4 tables; the wire decoder on the worker
 	// rejects the spec and the master sees an in-band error.
-	_, err = ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 64})
+	_, err = ms.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 64})
 	if err == nil {
 		t.Fatal("invalid job accepted")
 	}
@@ -232,18 +233,18 @@ func TestMasterFailsOnDeadWorker(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	ms, err := NewMaster([]string{addr}, 2*time.Second)
+	ms, err := NewMasterWithOptions([]string{addr}, Options{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 6, 0)
-	if _, err := ms.Optimize(q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
+	if _, err := ms.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Linear, Workers: 2}); err == nil {
 		t.Fatal("dead worker not reported")
 	}
 }
 
 func TestNewMasterValidation(t *testing.T) {
-	if _, err := NewMaster(nil, 0); err == nil {
+	if _, err := NewMasterWithOptions(nil, Options{}); err == nil {
 		t.Fatal("empty address list accepted")
 	}
 }
@@ -264,14 +265,14 @@ func TestWorkerCloseIdempotentEnough(t *testing.T) {
 
 func TestSequentialQueriesReuseConnections(t *testing.T) {
 	addrs := startWorkers(t, 2)
-	ms, err := NewMaster(addrs, 30*time.Second)
+	ms, err := NewMasterWithOptions(addrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Several queries back to back through the same master.
 	for seed := int64(0); seed < 3; seed++ {
 		q := gen(t, 6, seed)
-		if _, err := ms.Optimize(q, core.JobSpec{Space: partition.Bushy, Workers: 2}); err != nil {
+		if _, err := ms.OptimizeContext(context.Background(), q, core.JobSpec{Space: partition.Bushy, Workers: 2}); err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
 	}

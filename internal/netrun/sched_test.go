@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -25,11 +26,11 @@ func TestStallSpeculativeCloneWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleanAddrs := startWorkers(t, 2)
-	cleanMaster, err := NewMaster(cleanAddrs, 30*time.Second)
+	cleanMaster, err := NewMasterWithOptions(cleanAddrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := cleanMaster.Optimize(q, spec)
+	clean, err := cleanMaster.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestStallSpeculativeCloneWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestStallSpeculativeCloneWins(t *testing.T) {
 	if ans.Net.Speculations == 0 {
 		t.Fatal("no speculative re-dispatch recorded under a stall")
 	}
-	if ans.Redispatched != 0 {
-		t.Fatalf("Redispatched = %d: speculation must pre-empt the timeout retry path", ans.Redispatched)
+	if ans.Net.Redispatched != 0 {
+		t.Fatalf("Redispatched = %d: speculation must pre-empt the timeout retry path", ans.Net.Redispatched)
 	}
 	// The stalled worker saw exactly its first job; its queued share was
 	// stolen, not dispatched into the stall.
@@ -84,11 +85,11 @@ func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleanAddrs := startWorkers(t, 3)
-	cleanMaster, err := NewMaster(cleanAddrs, 30*time.Second)
+	cleanMaster, err := NewMasterWithOptions(cleanAddrs, Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := cleanMaster.Optimize(q, spec)
+	clean, err := cleanMaster.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +130,8 @@ func TestSpeculativeLoserLateFrameDiscarded(t *testing.T) {
 	if ans.Net.IgnoredFrames != 0 {
 		t.Fatalf("IgnoredFrames = %d: the loser's frame matches its own request's Seq", ans.Net.IgnoredFrames)
 	}
-	if ans.Redispatched != 0 {
-		t.Fatalf("Redispatched = %d: races are not failures", ans.Redispatched)
+	if ans.Net.Redispatched != 0 {
+		t.Fatalf("Redispatched = %d: races are not failures", ans.Net.Redispatched)
 	}
 }
 
@@ -161,7 +162,7 @@ func TestProbeReadmitsExcludedWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +175,8 @@ func TestProbeReadmitsExcludedWorker(t *testing.T) {
 	if ans.Net.Readmitted != 1 {
 		t.Fatalf("Readmitted = %d, want 1", ans.Net.Readmitted)
 	}
-	if ans.Redispatched != 2 {
-		t.Fatalf("Redispatched = %d, want 2 (the two killed attempts)", ans.Redispatched)
+	if ans.Net.Redispatched != 2 {
+		t.Fatalf("Redispatched = %d, want 2 (the two killed attempts)", ans.Net.Redispatched)
 	}
 	// The worker saw its two scripted kills, the probe, and then real
 	// work again after rejoining the pool.
@@ -202,7 +203,7 @@ func TestNoProbesWithoutReadmitAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ms.Optimize(q, spec)
+	ans, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

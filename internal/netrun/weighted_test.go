@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -10,22 +11,22 @@ import (
 )
 
 func TestWeightedMasterValidation(t *testing.T) {
-	if _, err := NewWeightedMaster([]string{"a:1"}, []float64{1, 2}, 0); err == nil {
+	if _, err := NewMasterWithOptions([]string{"a:1"}, Options{Weights: []float64{1, 2}}); err == nil {
 		t.Fatal("mismatched weight count accepted")
 	}
-	if _, err := NewWeightedMaster([]string{"a:1", "b:1"}, []float64{1, 0}, 0); err == nil {
+	if _, err := NewMasterWithOptions([]string{"a:1", "b:1"}, Options{Weights: []float64{1, 0}}); err == nil {
 		t.Fatal("zero weight accepted")
 	}
-	if _, err := NewWeightedMaster([]string{"a:1", "b:1"}, []float64{1, -2}, 0); err == nil {
+	if _, err := NewMasterWithOptions([]string{"a:1", "b:1"}, Options{Weights: []float64{1, -2}}); err == nil {
 		t.Fatal("negative weight accepted")
 	}
-	if _, err := NewWeightedMaster([]string{"a:1", "b:1"}, nil, 0); err != nil {
+	if _, err := NewMasterWithOptions([]string{"a:1", "b:1"}, Options{Weights: nil}); err != nil {
 		t.Fatalf("nil weights rejected: %v", err)
 	}
 }
 
 func TestAssignPartitionsRoundRobin(t *testing.T) {
-	ms, err := NewMaster([]string{"a:1", "b:1", "c:1"}, 0)
+	ms, err := NewMasterWithOptions([]string{"a:1", "b:1", "c:1"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestAssignPartitionsRoundRobin(t *testing.T) {
 
 func TestAssignPartitionsProportional(t *testing.T) {
 	// A worker that is 3x as fast gets ~3x the partitions (footnote 1).
-	ms, err := NewWeightedMaster([]string{"fast:1", "slow:1"}, []float64{3, 1}, 0)
+	ms, err := NewMasterWithOptions([]string{"fast:1", "slow:1"}, Options{Weights: []float64{3, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestAssignPartitionsProportional(t *testing.T) {
 
 	// Largest-remainder rounding: 3 partitions over weights 1:1 gives
 	// 2:1 or 1:2, never 3:0.
-	ms2, err := NewWeightedMaster([]string{"a:1", "b:1"}, []float64{1, 1}, 0)
+	ms2, err := NewMasterWithOptions([]string{"a:1", "b:1"}, Options{Weights: []float64{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +81,13 @@ func checkCoverage(t *testing.T, parts [][]int, m int) {
 // End-to-end: a weighted master returns the same optimum.
 func TestWeightedMasterEndToEnd(t *testing.T) {
 	addrs := startWorkers(t, 2)
-	ms, err := NewWeightedMaster(addrs, []float64{3, 1}, 30*time.Second)
+	ms, err := NewMasterWithOptions(addrs, Options{Weights: []float64{3, 1}, Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := gen(t, 8, 3)
 	spec := core.JobSpec{Space: partition.Linear, Workers: 16}
-	dist, err := ms.Optimize(q, spec)
+	dist, err := ms.OptimizeContext(context.Background(), q, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

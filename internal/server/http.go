@@ -91,10 +91,18 @@ func (s *Server) httpHandler() http.Handler {
 	return mux
 }
 
+// writeJSON replies with v as one line of JSON. v is marshaled before
+// the status goes out, so a value JSON cannot represent (a +Inf cost)
+// becomes a 500 with an errorBody, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 // writeSubmitError maps an admission failure to its HTTP status.
@@ -329,7 +337,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	emit := func(line BatchLine) {
-		enc.Encode(line)
+		if err := enc.Encode(line); err != nil {
+			// Encode writes nothing on a marshal error; say so on the
+			// line's index rather than silently dropping it.
+			enc.Encode(BatchLine{Index: line.Index, Error: "encode response: " + err.Error()})
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -1,6 +1,7 @@
 package sma
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestSMAMatchesMPQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpqRes, err := cluster.RunMPQ(cluster.Default(), q, spec)
+	mpqRes, err := cluster.RunMPQ(context.Background(), cluster.Default(), q, spec, cluster.Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSMATrafficDwarfsMPQ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mpqRes, err := cluster.RunMPQ(cluster.Default(), q, spec)
+		mpqRes, err := cluster.RunMPQ(context.Background(), cluster.Default(), q, spec, cluster.Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}

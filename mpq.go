@@ -43,8 +43,7 @@
 // Constructors take functional options (WithParallelism,
 // WithClusterModel, WithMasterOptions, WithCostModel, ...).
 // Cancellation and per-job deadlines flow through context.Context; see
-// docs/api.md for the full engine guide and the migration table from
-// the deprecated free functions (Optimize, SimulateMPQ, NewMaster, ...).
+// docs/api.md for the full engine guide.
 //
 // Any engine composes with WithCache, which serves repeated requests
 // from a fingerprint-keyed plan cache (singleflight collapsing,
@@ -74,13 +73,10 @@
 package mpq
 
 import (
-	"time"
-
 	"mpq/internal/catalog"
 	"mpq/internal/cluster"
 	"mpq/internal/core"
 	"mpq/internal/cost"
-	"mpq/internal/dp"
 	"mpq/internal/estim"
 	"mpq/internal/exec"
 	"mpq/internal/mo"
@@ -139,8 +135,6 @@ type (
 type (
 	// ClusterModel parameterizes the simulated shared-nothing cluster.
 	ClusterModel = cluster.Model
-	// ClusterResult is a simulated run's plans plus measured metrics.
-	ClusterResult = cluster.Result
 	// ClusterMetrics holds bytes, messages, virtual times and memory.
 	ClusterMetrics = cluster.Metrics
 	// NodeResources gives one simulated node's CPU/memory/network
@@ -168,10 +162,6 @@ type (
 type (
 	// TCPWorker serves optimization jobs over TCP.
 	TCPWorker = netrun.Worker
-	// TCPMaster coordinates remote TCP workers.
-	TCPMaster = netrun.Master
-	// TCPAnswer is a distributed answer with measured network stats.
-	TCPAnswer = netrun.Answer
 	// MasterOptions configures the fault-tolerant TCP master: per-job
 	// deadline, per-partition retry budget, worker-exclusion threshold,
 	// and per-worker weights.
@@ -225,53 +215,9 @@ func DefaultCostModel() CostModel { return cost.Default() }
 // supports for a query of n tables: 2^⌊n/2⌋ (Linear) or 2^⌊n/3⌋ (Bushy).
 func MaxWorkers(space Space, n int) int { return partition.MaxWorkers(space, n) }
 
-// Optimize runs MPQ with one goroutine per plan-space partition and
-// returns the globally optimal plan (and, for multi-objective jobs, the
-// merged Pareto frontier).
-//
-// Deprecated: use NewInProcessEngine().Optimize, which accepts a
-// context for cancellation and deadlines.
-func Optimize(q *Query, spec JobSpec) (*Answer, error) { return core.Optimize(q, spec) }
-
-// OptimizeParallelism is Optimize with a cap on concurrently running
-// worker goroutines.
-//
-// Deprecated: use NewInProcessEngine(WithParallelism(maxParallel)).
-func OptimizeParallelism(q *Query, spec JobSpec, maxParallel int) (*Answer, error) {
-	return core.OptimizeParallelism(q, spec, maxParallel)
-}
-
-// OptimizeSerial runs the classical single-node dynamic program — the
-// baseline every speedup is measured against. With interestingOrders the
-// pruning retains the best plan per sort order.
-//
-// Deprecated: use NewSerialEngine().Optimize (set
-// JobSpec.InterestingOrders for order-aware pruning; the best plan is
-// Answer.Best).
-func OptimizeSerial(q *Query, space Space, interestingOrders bool) (*Plan, error) {
-	opts := dp.Options{InterestingOrders: interestingOrders}
-	if interestingOrders {
-		opts.Pruner = dp.OrderAware{}
-	}
-	res, err := dp.Serial(q, space, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Best(), nil
-}
-
 // DefaultClusterModel returns the calibrated simulated-cluster
 // parameters used by the experiment harness.
 func DefaultClusterModel() ClusterModel { return cluster.Default() }
-
-// SimulateMPQ runs MPQ on a simulated shared-nothing cluster, returning
-// the plans plus byte-exact network and virtual-time metrics.
-//
-// Deprecated: use NewSimEngine(WithClusterModel(model)).Optimize; the
-// metrics are in Answer.Cluster.
-func SimulateMPQ(model ClusterModel, q *Query, spec JobSpec) (*ClusterResult, error) {
-	return cluster.RunMPQ(model, q, spec)
-}
 
 // GenerateWorkload builds a random catalog and query by the Steinbrunn
 // et al. method the paper benchmarks with. Same (params, seed) — same
@@ -311,42 +257,6 @@ func SubgraphWorkload(s *Schema, sf float64, tables int, seed int64) (*Catalog, 
 // ListenWorker starts a TCP optimization worker on addr (host:port;
 // use ":0" for an ephemeral port).
 func ListenWorker(addr string) (*TCPWorker, error) { return netrun.ListenWorker(addr) }
-
-// NewMaster returns a TCP master that distributes partitions over the
-// given worker addresses. timeout bounds each job attempt end-to-end —
-// it covers dialing the worker as well as the send, the worker's
-// compute, and the receive, so it is also the dial timeout. It is
-// exactly NewMasterWithOptions(addrs, MasterOptions{Timeout: timeout}).
-//
-// Deprecated: use NewTCPEngine(addrs,
-// WithMasterOptions(MasterOptions{Timeout: timeout})).
-func NewMaster(addrs []string, timeout time.Duration) (*TCPMaster, error) {
-	return netrun.NewMasterWithOptions(addrs, MasterOptions{Timeout: timeout})
-}
-
-// NewMasterWithOptions returns a TCP master with full fault-tolerance
-// configuration: per-job deadlines, partition re-dispatch with a retry
-// budget, and exclusion of repeatedly failing workers. See the
-// internal/netrun package documentation for the failure model.
-//
-// Deprecated: use NewTCPEngine(addrs, WithMasterOptions(opts)), whose
-// answers also carry the network accounting in Answer.Net.
-func NewMasterWithOptions(addrs []string, opts MasterOptions) (*TCPMaster, error) {
-	return netrun.NewMasterWithOptions(addrs, opts)
-}
-
-// SimulateMPQWithFaults runs MPQ on the simulated cluster while the
-// scripted workers die mid-query: the master detects each death after
-// faults.DetectTimeout of virtual time and re-dispatches the partition
-// to a survivor. Plans are bit-identical to the failure-free run; the
-// metrics expose the recovery overhead.
-//
-// Deprecated: use NewSimEngine(WithClusterModel(model),
-// WithClusterFaults(faults)).Optimize; the metrics are in
-// Answer.Cluster.
-func SimulateMPQWithFaults(model ClusterModel, q *Query, spec JobSpec, faults ClusterFaults) (*ClusterResult, error) {
-	return cluster.RunMPQWithFaults(model, q, spec, faults)
-}
 
 // EncodeQuery serializes a query into the wire format used between
 // master and workers.
