@@ -216,21 +216,12 @@ func NewSimEngine(opts ...EngineOption) *SimEngine {
 func (e *SimEngine) Optimize(ctx context.Context, q *Query, spec JobSpec) (*Answer, error) {
 	spec = e.cfg.applySpec(spec)
 	start := time.Now()
-	res, err := cluster.RunMPQ(ctx, e.cfg.clusterModel, q, spec, e.cfg.faults)
+	ans, err := cluster.RunMPQ(ctx, e.cfg.clusterModel, q, spec, e.cfg.faults)
 	if err != nil {
 		return nil, err
 	}
-	met := res.Metrics
-	return &Answer{
-		Best:             res.Best,
-		Frontier:         res.Frontier,
-		Stats:            met.Work,
-		MaxWorkerStats:   res.MaxWorkerStats,
-		PerWorker:        res.PerWorker,
-		Elapsed:          time.Since(start),
-		MaxWorkerElapsed: met.MaxWorkerTime,
-		Cluster:          &met,
-	}, nil
+	ans.Elapsed = time.Since(start)
+	return ans, nil
 }
 
 // OptimizeBatch implements Engine by simulating the jobs sequentially

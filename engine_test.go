@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"testing"
@@ -531,6 +532,40 @@ func TestSequentialEnginesBatch(t *testing.T) {
 			}
 			if mpq.PlanFingerprint(batch[i].Best) != mpq.PlanFingerprint(one.Best) {
 				t.Fatalf("%s job %d: batch differs from single", e.name, i)
+			}
+		}
+	}
+}
+
+// TestNonFiniteAnswerIsError: statistics whose products overflow
+// float64 leave every plan at +Inf, and a cardinality of +Inf is not a
+// statistic at all. Neither may come back as a successful answer.
+func TestNonFiniteAnswerIsError(t *testing.T) {
+	tables := make([]mpq.QueryTable, 12)
+	for i := range tables {
+		tables[i] = mpq.QueryTable{Name: fmt.Sprintf("t%d", i), Cardinality: 1e30}
+	}
+	overflow := mpq.MustNewQuery(tables)
+	for i := 1; i < len(tables); i++ {
+		overflow.MustAddPredicate(mpq.Predicate{Left: 0, Right: i, Selectivity: 1})
+	}
+	infCard := mpq.MustNewQuery(tables[:4])
+	infCard.MustAddPredicate(mpq.Predicate{Left: 0, Right: 1, Selectivity: 0.1})
+	infCard.Tables[2].Cardinality = math.Inf(1)
+
+	ctx := context.Background()
+	for _, e := range []struct {
+		name string
+		eng  mpq.Engine
+	}{
+		{"serial", mpq.NewSerialEngine()},
+		{"inprocess", mpq.NewInProcessEngine()},
+		{"sim", mpq.NewSimEngine()},
+	} {
+		for qname, q := range map[string]*mpq.Query{"overflow": overflow, "inf cardinality": infCard} {
+			ans, err := e.eng.Optimize(ctx, q, mpq.JobSpec{Space: mpq.Linear, Workers: 4})
+			if err == nil {
+				t.Errorf("%s/%s: no error, best cost %g card %g", e.name, qname, ans.Best.Cost, ans.Best.Card)
 			}
 		}
 	}

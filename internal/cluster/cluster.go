@@ -14,7 +14,9 @@
 //
 // The simulator runs the real optimizer (workers decode their request
 // bytes and run the full constrained DP), so results are bit-identical
-// to the in-process engine; only the clock is virtual.
+// to the in-process engine; only the clock is virtual. One event-driven
+// scheduler (sched.go) places the partitions on the nodes and plays out
+// every run, with or without faults.
 package cluster
 
 import (
@@ -24,7 +26,6 @@ import (
 	"time"
 
 	"mpq/internal/core"
-	"mpq/internal/plan"
 	"mpq/internal/query"
 	"mpq/internal/wire"
 )
@@ -49,16 +50,15 @@ type Model struct {
 	// FinalPrunePerPlan is the master-side cost of comparing one
 	// returned plan during FinalPrune.
 	FinalPrunePerPlan time.Duration
-	// Nodes bounds the simulated node pool. Zero keeps the classic
-	// one-node-per-partition layout; a positive value runs the adaptive
-	// scheduler, which interleaves partitions over the pool largest-
-	// estimated-cost first (each to the node with the earliest projected
-	// finish).
+	// Nodes bounds the simulated node pool. Zero means one node per
+	// partition (the classic layout). The scheduler places partitions
+	// largest-estimated-cost first, each on the node with the earliest
+	// projected finish.
 	Nodes int
-	// Resources gives per-node capacities for the multi-resource model;
-	// non-empty Resources also selects the adaptive scheduler, and the
-	// slice length must equal the node count (Nodes, or the partition
-	// count when Nodes is zero). Empty means homogeneous unit-CPU nodes.
+	// Resources gives per-node capacities for the multi-resource model.
+	// The slice length must equal the node count (Nodes, or the
+	// partition count when Nodes is zero). Empty means homogeneous
+	// unit-CPU nodes.
 	Resources []NodeResources
 }
 
@@ -99,43 +99,25 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// transfer returns the time to push n bytes through one link.
-func (m Model) transfer(n int) time.Duration {
-	return time.Duration(float64(n) / m.Bandwidth * float64(time.Second))
-}
-
 // compute converts work units into virtual compute time.
 func (m Model) compute(units uint64) time.Duration {
 	return time.Duration(float64(units) * m.NsPerWorkUnit)
 }
 
-// MPQTime evaluates the one-round MPQ schedule on this cluster model:
-// reqBytes[i] and respBytes[i] are worker i's request and response sizes,
-// units[i] its compute work. It returns the master-observed total time
-// (excluding FinalPrune, which the caller adds per returned plan) and the
-// slowest worker's compute time. The master NIC serializes sends and
-// receives, making the master's share linear in the worker count
-// (Theorem 5).
+// MPQTime evaluates the fault-free one-round MPQ schedule on this
+// cluster model: reqBytes[i] and respBytes[i] are partition i's request
+// and response sizes, units[i] its compute work. It returns the
+// master-observed total time (excluding FinalPrune, which the caller
+// adds per returned plan) and the slowest node's compute time. The
+// master NIC serializes sends and receives, making the master's share
+// linear in the worker count (Theorem 5). It panics if the model's
+// Resources do not match its node count.
 func (m Model) MPQTime(reqBytes, respBytes []int, units []uint64) (total, maxWorker time.Duration) {
-	var masterSendBusy, masterRecvBusy time.Duration
-	starts := make([]time.Duration, len(reqBytes))
-	for i, rb := range reqBytes {
-		masterSendBusy += m.DispatchPerTask + m.transfer(rb)
-		// Task launch happens on the workers, concurrently.
-		starts[i] = masterSendBusy + m.Latency + m.TaskSetup
+	met, err := m.schedule(simInput{reqBytes: reqBytes, respBytes: respBytes, units: units, memo: make([]uint64, len(units))}, Faults{})
+	if err != nil {
+		panic(err)
 	}
-	for i := range reqBytes {
-		computeT := m.compute(units[i])
-		if computeT > maxWorker {
-			maxWorker = computeT
-		}
-		arrival := starts[i] + computeT + m.Latency
-		if arrival > masterRecvBusy {
-			masterRecvBusy = arrival
-		}
-		masterRecvBusy += m.transfer(respBytes[i])
-	}
-	return masterRecvBusy, maxWorker
+	return met.VirtualTime, met.MaxWorkerTime
 }
 
 // Faults mirrors the failure model of the TCP runtime (internal/netrun)
@@ -144,9 +126,9 @@ func (m Model) MPQTime(reqBytes, respBytes []int, units []uint64) (total, maxWor
 // without a wall clock.
 type Faults struct {
 	// Dead lists virtual nodes that crash after receiving their request
-	// and never answer. With Model.Nodes zero, nodes and partition
-	// indices coincide (the classic layout). At least one node must
-	// survive.
+	// and never answer. With Model.Nodes zero and homogeneous nodes,
+	// partition i runs on node i (the classic layout). At least one node
+	// must survive.
 	Dead []int
 	// DetectTimeout is the virtual time after a request's arrival at
 	// which the master declares an unanswered worker dead and
@@ -154,8 +136,7 @@ type Faults struct {
 	// DefaultDetectTimeout.
 	DetectTimeout time.Duration
 	// Stalled lists nodes that compute StallFactor× slower than the
-	// model's rate — the straggler script. A non-empty Stalled selects
-	// the adaptive scheduler.
+	// model's rate — the straggler script.
 	Stalled []int
 	// StallFactor is the stalled nodes' compute slowdown. Zero means
 	// DefaultStallFactor; values below 1 are an error.
@@ -222,122 +203,31 @@ func (f Faults) Validate(m int) error {
 	return nil
 }
 
-// adaptive reports whether the fault script needs the event-driven
-// adaptive scheduler rather than the closed-form one-round formulas.
-func (f Faults) adaptive() bool {
-	return len(f.Stalled) > 0 || f.Speculate
-}
-
-// faultSchedule evaluates the MPQ schedule with scripted worker deaths:
-// round one is MPQTime's schedule restricted to the survivors; each dead
-// partition is then re-dispatched — the master's send NIC becomes free,
-// waits for the detection timeout, re-serializes the request to a
-// survivor chosen round-robin, and the survivor runs the extra partition
-// after finishing its own share. With no deaths this reduces exactly to
-// MPQTime.
-func (m Model) faultSchedule(reqBytes, respBytes []int, units []uint64, dead map[int]bool, detect time.Duration) (total, maxWorker time.Duration) {
-	n := len(reqBytes)
-	var masterSendBusy, masterRecvBusy time.Duration
-	starts := make([]time.Duration, n)
-	arrivals := make([]time.Duration, n) // request arrival, before task setup
-	for i, rb := range reqBytes {
-		masterSendBusy += m.DispatchPerTask + m.transfer(rb)
-		arrivals[i] = masterSendBusy + m.Latency
-		starts[i] = arrivals[i] + m.TaskSetup
-	}
-	// Round one: responses from the survivors only.
-	computeBusy := make([]time.Duration, n) // per-worker total busy time
-	free := make([]time.Duration, n)        // when a survivor finishes its share
-	survivors := make([]int, 0, n)
-	for i := range reqBytes {
-		if dead[i] {
-			continue
-		}
-		survivors = append(survivors, i)
-		computeT := m.compute(units[i])
-		computeBusy[i] = computeT
-		free[i] = starts[i] + computeT
-		arrival := free[i] + m.Latency
-		if arrival > masterRecvBusy {
-			masterRecvBusy = arrival
-		}
-		masterRecvBusy += m.transfer(respBytes[i])
-	}
-	// Recovery round: re-dispatch each dead partition.
-	sendFree := masterSendBusy
-	si := 0
-	for i := range reqBytes {
-		if !dead[i] {
-			continue
-		}
-		// Detection runs from the request's arrival at the (crashed)
-		// worker, as documented on Faults.DetectTimeout — not from the end
-		// of its task setup, which the crash may have interrupted.
-		detectAt := arrivals[i] + detect
-		if detectAt > sendFree {
-			sendFree = detectAt
-		}
-		sendFree += m.DispatchPerTask + m.transfer(reqBytes[i])
-		s := survivors[si%len(survivors)]
-		si++
-		begin := sendFree + m.Latency + m.TaskSetup
-		if free[s] > begin {
-			begin = free[s]
-		}
-		fin := begin + m.compute(units[i])
-		free[s] = fin
-		computeBusy[s] += m.compute(units[i])
-		arrival := fin + m.Latency
-		if arrival > masterRecvBusy {
-			masterRecvBusy = arrival
-		}
-		masterRecvBusy += m.transfer(respBytes[i])
-	}
-	for _, cb := range computeBusy {
-		if cb > maxWorker {
-			maxWorker = cb
-		}
-	}
-	return masterRecvBusy, maxWorker
-}
-
 // Metrics is the simulator's measurement record — one row of the paper's
 // figures. It is an alias of core.ClusterMetrics so engine-agnostic
 // answers can carry it without importing this package.
 type Metrics = core.ClusterMetrics
 
-// Result is the outcome of one simulated optimization.
-type Result struct {
-	Best     *plan.Node
-	Frontier []*plan.Node // multi-objective only
-	Metrics  Metrics
-	// PerWorker lists each virtual worker's report in partition-ID
-	// order; Elapsed is the worker's virtual compute time under the
-	// model's work-unit rate.
-	PerWorker []core.WorkerReport
-	// MaxWorkerStats is the largest per-worker work counter set — the
-	// critical path of skew-free parallel execution.
-	MaxWorkerStats plan.Stats
-}
-
 // RunMPQ simulates Algorithm 1: the master serializes (query, partition
 // ID, m) for each worker; workers decode their request bytes, run the
 // real constrained DP, and serialize their partition-optimal plans back;
 // the master decodes and FinalPrunes. One round, no worker↔worker
-// traffic.
+// traffic. The answer carries the measurement record in Cluster;
+// MaxWorkerElapsed is Cluster.MaxWorkerTime and each PerWorker Elapsed
+// is the partition's virtual compute time at the model's base rate.
 //
 // faults scripts the failure model; the zero Faults is the failure-free
 // run. Dead workers receive their request, crash, and never answer; the
 // master detects each death DetectTimeout after the request arrived and
-// re-dispatches the partition to a surviving worker (round-robin), which
-// runs it after its own share. The chosen plans are bit-identical to the
+// re-dispatches the partition to the live node with the earliest
+// projected finish. The chosen plans are bit-identical to the
 // failure-free run — partitions are disjoint and workers stateless —
 // while VirtualTime, traffic, and Redispatches expose the recovery
 // overhead.
 //
 // Every virtual worker's dynamic program checks ctx, and the run returns
 // an error wrapping ctx's cause once all workers have stopped.
-func RunMPQ(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, faults Faults) (*Result, error) {
+func RunMPQ(ctx context.Context, model Model, q *query.Query, spec core.JobSpec, faults Faults) (*core.Answer, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
@@ -356,14 +246,10 @@ func RunMPQ(ctx context.Context, model Model, q *query.Query, spec core.JobSpec,
 	}
 	q.Freeze()
 	m := spec.Workers
-	// The closed-form one-round formulas cover the classic layout; a
-	// bounded node pool, per-node resources, stall scripts or
-	// speculation need the event-driven adaptive scheduler (sched.go).
-	adaptive := model.Nodes > 0 || len(model.Resources) > 0 || faults.adaptive()
 
-	// Master builds and "sends" one request per worker. The master NIC
-	// serializes outbound messages, so send completions are cumulative
-	// (Theorem 5's O(m·bq) master time).
+	// Master builds one request per worker; the scheduler charges the
+	// master NIC for sending them one after another (Theorem 5's
+	// O(m·bq) master time).
 	type workerRun struct {
 		req       []byte
 		respBytes int
@@ -410,99 +296,40 @@ func RunMPQ(ctx context.Context, model Model, q *query.Query, spec core.JobSpec,
 		return nil, fmt.Errorf("cluster: simulation canceled: %w", context.Cause(ctx))
 	}
 
-	dead := make(map[int]bool, len(faults.Dead))
-	for _, d := range faults.Dead {
-		dead[d] = true
-	}
-	detect := faults.DetectTimeout
-	if detect == 0 {
-		detect = DefaultDetectTimeout
-	}
-
-	met := Metrics{Rounds: 1, Redispatches: len(dead)}
-	if len(dead) > 0 {
-		met.Rounds = 2 // the re-dispatch adds one extra communication round
-	}
-	out := &Result{}
-	frontiers := make([][]*plan.Node, 0, m)
-	reqBytes := make([]int, m)
-	respBytes := make([]int, m)
-	units := make([]uint64, m)
-	memo := make([]uint64, m)
+	in := simInput{reqBytes: make([]int, m), respBytes: make([]int, m), units: make([]uint64, m), memo: make([]uint64, m)}
+	parts := make([]core.PartResult, m)
 	var planCount int
-	for partID := 0; partID < m; partID++ {
-		r := runs[partID]
+	for partID, r := range runs {
 		if r.err != nil {
 			return nil, fmt.Errorf("cluster: worker %d: %w", partID, r.err)
 		}
-		met.Bytes += uint64(len(r.req) + r.respBytes)
-		met.Messages += 2
-		if dead[partID] {
-			// The job is sent twice: the crashed worker got the request but
-			// never answered, and the survivor both receives the request
-			// again and sends the one response.
-			met.Bytes += uint64(len(r.req))
-			met.Messages++
-		}
-		met.Work.Add(r.resp.Stats)
-		if r.resp.Stats.MemoEntries > met.MaxMemoEntries {
-			met.MaxMemoEntries = r.resp.Stats.MemoEntries
-		}
-		reqBytes[partID] = len(r.req)
-		respBytes[partID] = r.respBytes
-		units[partID] = r.resp.Stats.WorkUnits()
-		memo[partID] = r.resp.Stats.MemoEntries
-		frontiers = append(frontiers, r.resp.Plans)
+		in.reqBytes[partID] = len(r.req)
+		in.respBytes[partID] = r.respBytes
+		in.units[partID] = r.resp.Stats.WorkUnits()
+		in.memo[partID] = r.resp.Stats.MemoEntries
+		parts[partID] = core.PartResult{Plans: r.resp.Plans, Stats: r.resp.Stats, Elapsed: model.compute(in.units[partID])}
 		planCount += len(r.resp.Plans)
-		out.PerWorker = append(out.PerWorker, core.WorkerReport{
-			PartID: partID, Plans: len(r.resp.Plans), Stats: r.resp.Stats,
-			Elapsed: model.compute(r.resp.Stats.WorkUnits()),
-		})
-		if r.resp.Stats.WorkUnits() > out.MaxWorkerStats.WorkUnits() {
-			out.MaxWorkerStats = r.resp.Stats
-		}
 	}
-	if adaptive {
-		in := simInput{reqBytes: reqBytes, respBytes: respBytes, units: units, memo: memo}
-		sim, err := model.adaptiveSchedule(in, faults)
+	met, err := model.schedule(in, faults)
+	if err != nil {
+		return nil, err
+	}
+	if len(faults.Dead) > 0 || len(faults.Stalled) > 0 {
+		clean, err := model.schedule(in, Faults{})
 		if err != nil {
 			return nil, err
 		}
-		// The event simulation accounts traffic itself (clones, cancels
-		// and re-dispatches included): override the per-partition tallies.
-		met.Bytes = sim.bytes
-		met.Messages = sim.messages
-		met.Redispatches = sim.redispatches
-		met.Rounds = 1
-		if sim.redispatches > 0 {
-			met.Rounds = 2
-		}
-		met.VirtualTime = sim.total + time.Duration(planCount)*model.FinalPrunePerPlan
-		met.MaxWorkerTime = sim.maxWorker
-		met.Speculations = sim.speculations
-		met.WastedWork = sim.wasted
-		if len(dead) > 0 || len(faults.Stalled) > 0 {
-			clean, err := model.adaptiveSchedule(in, Faults{})
-			if err != nil {
-				return nil, err
-			}
-			met.RecoveryOverhead = sim.total - clean.total
-		}
-	} else {
-		total, maxWorker := model.faultSchedule(reqBytes, respBytes, units, dead, detect)
-		met.VirtualTime = total + time.Duration(planCount)*model.FinalPrunePerPlan
-		met.MaxWorkerTime = maxWorker
-		if len(dead) > 0 {
-			cleanTotal, _ := model.MPQTime(reqBytes, respBytes, units)
-			met.RecoveryOverhead = total - cleanTotal
-		}
+		met.RecoveryOverhead = met.VirtualTime - clean.VirtualTime
 	}
+	met.VirtualTime += time.Duration(planCount) * model.FinalPrunePerPlan
 
-	best, frontier, err := core.FinalPrune(spec, frontiers)
+	ans, err := core.Assemble(spec, parts)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	out.Best, out.Frontier = best, frontier
-	out.Metrics = met
-	return out, nil
+	met.Work = ans.Stats
+	met.MaxMemoEntries = ans.Stats.MemoEntries
+	ans.MaxWorkerElapsed = met.MaxWorkerTime
+	ans.Cluster = &met
+	return ans, nil
 }

@@ -108,7 +108,7 @@ func TestNetworkBytesLinearInWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bytesPerWorker = append(bytesPerWorker, float64(res.Metrics.Bytes)/float64(m))
+		bytesPerWorker = append(bytesPerWorker, float64(res.Cluster.Bytes)/float64(m))
 	}
 	// Theorem 1: traffic is O(m · (bq + bp)) — per-worker bytes are flat.
 	for i := 1; i < len(bytesPerWorker); i++ {
@@ -125,11 +125,11 @@ func TestOneRoundTwoMessagesPerWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Rounds != 1 {
-		t.Fatalf("rounds = %d", res.Metrics.Rounds)
+	if res.Cluster.Rounds != 1 {
+		t.Fatalf("rounds = %d", res.Cluster.Rounds)
 	}
-	if res.Metrics.Messages != 16 {
-		t.Fatalf("messages = %d want 16", res.Metrics.Messages)
+	if res.Cluster.Messages != 16 {
+		t.Fatalf("messages = %d want 16", res.Cluster.Messages)
 	}
 }
 
@@ -143,10 +143,10 @@ func TestWorkerTimeDecreasesWithParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Metrics.MaxWorkerTime >= prev {
-			t.Fatalf("m=%d: W-time %v did not decrease from %v", m, res.Metrics.MaxWorkerTime, prev)
+		if res.Cluster.MaxWorkerTime >= prev {
+			t.Fatalf("m=%d: W-time %v did not decrease from %v", m, res.Cluster.MaxWorkerTime, prev)
 		}
-		prev = res.Metrics.MaxWorkerTime
+		prev = res.Cluster.MaxWorkerTime
 	}
 }
 
@@ -161,7 +161,7 @@ func TestWorkReductionMatchesTheory(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Recover the slowest worker's units from its virtual compute time.
-		maxUnits := uint64(float64(res.Metrics.MaxWorkerTime.Nanoseconds()) / model.NsPerWorkUnit)
+		maxUnits := uint64(float64(res.Cluster.MaxWorkerTime.Nanoseconds()) / model.NsPerWorkUnit)
 		if i > 0 {
 			ratio := float64(maxUnits) / float64(prevMax)
 			if ratio < 0.70 || ratio > 0.80 {
@@ -198,8 +198,8 @@ func TestMultiObjectiveSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.Metrics.Bytes <= single.Metrics.Bytes {
-		t.Fatalf("MO bytes %d not above single-objective %d", sim.Metrics.Bytes, single.Metrics.Bytes)
+	if sim.Cluster.Bytes <= single.Cluster.Bytes {
+		t.Fatalf("MO bytes %d not above single-objective %d", sim.Cluster.Bytes, single.Cluster.Bytes)
 	}
 }
 
@@ -215,8 +215,8 @@ func TestMemoryMetricMatchesDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.MaxMemoEntries != ref.Stats.MemoEntries {
-		t.Fatalf("memory metric %d != DP %d", res.Metrics.MaxMemoEntries, ref.Stats.MemoEntries)
+	if res.Cluster.MaxMemoEntries != ref.Stats.MemoEntries {
+		t.Fatalf("memory metric %d != DP %d", res.Cluster.MaxMemoEntries, ref.Stats.MemoEntries)
 	}
 }
 
@@ -263,24 +263,24 @@ func TestFaultedSimulationBitIdentical(t *testing.T) {
 		if wire.PlanFingerprint(res.Best) != wire.PlanFingerprint(clean.Best) {
 			t.Fatalf("dead=%v: recovered plan differs", deadSet)
 		}
-		if res.Metrics.Redispatches != len(deadSet) {
-			t.Fatalf("dead=%v: Redispatches = %d", deadSet, res.Metrics.Redispatches)
+		if res.Cluster.Redispatches != len(deadSet) {
+			t.Fatalf("dead=%v: Redispatches = %d", deadSet, res.Cluster.Redispatches)
 		}
-		if res.Metrics.Rounds != 2 {
-			t.Fatalf("dead=%v: rounds = %d, want 2", deadSet, res.Metrics.Rounds)
+		if res.Cluster.Rounds != 2 {
+			t.Fatalf("dead=%v: rounds = %d, want 2", deadSet, res.Cluster.Rounds)
 		}
-		if res.Metrics.VirtualTime <= clean.Metrics.VirtualTime {
+		if res.Cluster.VirtualTime <= clean.Cluster.VirtualTime {
 			t.Fatalf("dead=%v: recovery is free: %v <= %v",
-				deadSet, res.Metrics.VirtualTime, clean.Metrics.VirtualTime)
+				deadSet, res.Cluster.VirtualTime, clean.Cluster.VirtualTime)
 		}
-		if got, want := res.Metrics.RecoveryOverhead, res.Metrics.VirtualTime-clean.Metrics.VirtualTime; got != want {
+		if got, want := res.Cluster.RecoveryOverhead, res.Cluster.VirtualTime-clean.Cluster.VirtualTime; got != want {
 			t.Fatalf("dead=%v: RecoveryOverhead = %v, want %v", deadSet, got, want)
 		}
-		if res.Metrics.Bytes <= clean.Metrics.Bytes {
+		if res.Cluster.Bytes <= clean.Cluster.Bytes {
 			t.Fatalf("dead=%v: no re-dispatch traffic accounted", deadSet)
 		}
-		if want := 2*spec.Workers + len(deadSet); res.Metrics.Messages != want {
-			t.Fatalf("dead=%v: messages = %d, want %d", deadSet, res.Metrics.Messages, want)
+		if want := 2*spec.Workers + len(deadSet); res.Cluster.Messages != want {
+			t.Fatalf("dead=%v: messages = %d, want %d", deadSet, res.Cluster.Messages, want)
 		}
 	}
 }
@@ -301,7 +301,7 @@ func TestRecoveryOverheadGrowsWithDeaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wtime := res.Metrics.MaxWorkerTime
+		wtime := res.Cluster.MaxWorkerTime
 		if k == 0 {
 			baseline = wtime
 		} else if wtime <= baseline {
@@ -316,17 +316,28 @@ func TestRecoveryOverheadGrowsWithDeaths(t *testing.T) {
 	}
 }
 
-// With no deaths the fault-aware schedule must reduce exactly to
-// MPQTime — the failure-free figures may not shift.
-func TestFaultScheduleReducesToMPQTime(t *testing.T) {
-	model := Default()
-	reqs := []int{300, 310, 290, 305}
-	resps := []int{120, 800, 95, 400}
-	units := []uint64{1000, 50000, 800, 20000}
-	wantTotal, wantMax := model.MPQTime(reqs, resps, units)
-	gotTotal, gotMax := model.faultSchedule(reqs, resps, units, nil, DefaultDetectTimeout)
-	if gotTotal != wantTotal || gotMax != wantMax {
-		t.Fatalf("faultSchedule (%v, %v) != MPQTime (%v, %v)", gotTotal, gotMax, wantTotal, wantMax)
+// MPQTime on two partitions, checked against arithmetic done by hand.
+// With 1 B/µs links and 1 µs per work unit, the larger partition 1 is
+// sent first (2.1 ms on the master NIC), partition 0 second (done at
+// 3.2 ms). Each node adds 1 ms latency and 10 ms task setup: partition 1
+// computes 13.1–33.1 ms and reaches the master at 34.1 ms, partition 0
+// computes 14.2–33.2 ms and reaches it at 34.2 ms. The master NIC
+// receives partition 1's 300 B until 34.4 ms, then partition 0's 500 B
+// until 34.9 ms.
+func TestMPQTimeTwoPartitionsByHand(t *testing.T) {
+	model := Model{
+		Latency:         time.Millisecond,
+		Bandwidth:       1e6,
+		TaskSetup:       10 * time.Millisecond,
+		DispatchPerTask: 100 * time.Microsecond,
+		NsPerWorkUnit:   1000,
+	}
+	total, maxWorker := model.MPQTime([]int{1000, 2000}, []int{500, 300}, []uint64{19000, 20000})
+	if want := 34900 * time.Microsecond; total != want {
+		t.Errorf("total = %v, want %v", total, want)
+	}
+	if want := 20 * time.Millisecond; maxWorker != want {
+		t.Errorf("maxWorker = %v, want %v", maxWorker, want)
 	}
 }
 
@@ -349,7 +360,7 @@ func TestVirtualTimeIncludesLatencyFloor(t *testing.T) {
 	}
 	// At minimum: task setup + 2 latencies must be present.
 	floor := model.TaskSetup + 2*model.Latency
-	if res.Metrics.VirtualTime < floor {
-		t.Fatalf("virtual time %v below floor %v", res.Metrics.VirtualTime, floor)
+	if res.Cluster.VirtualTime < floor {
+		t.Fatalf("virtual time %v below floor %v", res.Cluster.VirtualTime, floor)
 	}
 }

@@ -8,14 +8,12 @@ import (
 	"mpq/internal/core"
 )
 
-// This file is the adaptive virtual-time scheduler: an event-driven
-// mirror of the netrun master's straggler handling, driven entirely by
-// the deterministic cluster model. It activates when the run needs more
-// than the closed-form one-round schedule — a bounded node pool
-// (Model.Nodes), per-node resource capacities (Model.Resources), a
-// stall script (Faults.Stalled), or speculation (Faults.Speculate).
-// Without any of those, RunMPQ keeps using the closed-form
-// MPQTime/faultSchedule formulas bit for bit.
+// This file is the simulator's virtual-time scheduler, driven entirely
+// by the deterministic cluster model. It places partitions on nodes,
+// serializes the master NIC, and mirrors the netrun master's failure
+// detection, re-dispatch and speculation (through
+// core.StragglerThreshold) as events. It does not model attempt
+// budgets, worker exclusion, re-admission probes or work stealing.
 
 // NodeResources describes one simulated node's capacities for the
 // multi-resource cluster model (after Garofalakis & Ioannidis: a
@@ -41,12 +39,9 @@ type NodeResources struct {
 // checking a partition's footprint against NodeResources.MemoryBytes.
 const memoEntryBytes = 64
 
-// Defaults for adaptive-scheduling fault fields left at zero.
-const (
-	// DefaultStallFactor is the compute slowdown of a node listed in
-	// Faults.Stalled when StallFactor is zero.
-	DefaultStallFactor = 100
-)
+// DefaultStallFactor is the compute slowdown of a node listed in
+// Faults.Stalled when StallFactor is zero.
+const DefaultStallFactor = 100
 
 // simInput is the per-partition data the scheduler needs: exact message
 // sizes, the DP's work meter, and its memo size (for the spill model).
@@ -55,17 +50,6 @@ type simInput struct {
 	respBytes []int
 	units     []uint64
 	memo      []uint64
-}
-
-// simOutcome aggregates what the event simulation measured.
-type simOutcome struct {
-	total        time.Duration // master-observed completion of the last partition
-	maxWorker    time.Duration // slowest node's busy compute time
-	bytes        uint64
-	messages     int
-	speculations int
-	wasted       uint64 // work units burned by race losers
-	redispatches int
 }
 
 // simCopy is one dispatched instance of a partition: the original, a
@@ -106,17 +90,19 @@ type simEvent struct {
 	gen  int
 }
 
-// adaptiveSchedule runs the event-driven simulation. Everything is
-// deterministic: ties break on (time, kind, copy index), node choices
-// break on the lowest index.
-func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
+// schedule runs the event-driven simulation. It fills the traffic,
+// redispatch, speculation and timing fields of the returned Metrics;
+// VirtualTime is the master-observed completion of the last partition,
+// before FinalPrune. Everything is deterministic: events break ties on
+// (time, kind, copy index), and node choices on the lowest index.
+func (m Model) schedule(in simInput, f Faults) (Metrics, error) {
 	nParts := len(in.units)
 	n := m.Nodes
 	if n <= 0 {
 		n = nParts
 	}
 	if len(m.Resources) > 0 && len(m.Resources) != n {
-		return simOutcome{}, fmt.Errorf("cluster: %d resource entries for %d nodes", len(m.Resources), n)
+		return Metrics{}, fmt.Errorf("cluster: %d resource entries for %d nodes", len(m.Resources), n)
 	}
 	res := func(ni int) NodeResources {
 		if len(m.Resources) > 0 {
@@ -180,8 +166,11 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 
 	// Assignment: largest partition first (by the master's cost
 	// estimate — the work meter), each to the node with the earliest
-	// projected finish given what it already holds. The master does not
-	// know which nodes are dead or stalled, so they participate.
+	// projected finish given what it already holds. Ties go to the node
+	// whose index is the partition ID, then to the lowest index, so the
+	// classic homogeneous layout puts partition i on node i, as
+	// Faults.Dead and Faults.Stalled document. The master does not know
+	// which nodes are dead or stalled, so they participate.
 	order := make([]int, nParts)
 	for i := range order {
 		order[i] = i
@@ -220,7 +209,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 		best, bestFin := -1, time.Duration(0)
 		for ni := 0; ni < n; ni++ {
 			fin := avail[ni] + estimateT(part, ni)
-			if best < 0 || fin < bestFin {
+			if best < 0 || fin < bestFin || (fin == bestFin && ni == part) {
 				best, bestFin = ni, fin
 			}
 		}
@@ -228,7 +217,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 		dispatchTo(part, best, 0)
 	}
 
-	out := simOutcome{}
+	out := Metrics{Rounds: 1}
 	var events []simEvent
 	push := func(e simEvent) { events = append(events, e) }
 	pop := func() (simEvent, bool) {
@@ -248,8 +237,8 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 	}
 	scheduleCopy := func(ci int) {
 		c := copies[ci]
-		out.bytes += uint64(in.reqBytes[c.part])
-		out.messages++
+		out.Bytes += uint64(in.reqBytes[c.part])
+		out.Messages++
 		if dead[c.node] {
 			push(simEvent{t: c.arrive + detect, kind: evDetect, copy: ci, gen: c.gen})
 		} else {
@@ -337,7 +326,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 	for nDone < nParts {
 		e, ok := pop()
 		if !ok {
-			return simOutcome{}, fmt.Errorf("cluster: adaptive schedule stalled with %d of %d partitions unanswered", nParts-nDone, nParts)
+			return Metrics{}, fmt.Errorf("cluster: schedule stalled with %d of %d partitions unanswered", nParts-nDone, nParts)
 		}
 		c := copies[e.copy]
 		if e.gen != c.gen || c.canceled || c.done {
@@ -348,24 +337,22 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 			c.done = true
 			done := max(e.t, recvFree) + nodeTransfer(in.respBytes[c.part], c.node)
 			recvFree = done
-			out.bytes += uint64(in.respBytes[c.part])
-			out.messages++
+			out.Bytes += uint64(in.respBytes[c.part])
+			out.Messages++
 			if firstDone[c.part] >= 0 {
 				// A race loser that outran its cancel: full compute burned.
-				out.wasted += in.units[c.part]
+				out.WastedWork += in.units[c.part]
 				continue
 			}
 			firstDone[c.part] = done
 			nDone++
-			if done > out.total {
-				out.total = done
-			}
+			out.VirtualTime = max(out.VirtualTime, done)
 			svcTimes = append(svcTimes, done-c.sendDone)
 			// Cancel any sibling still running the same partition.
 			for _, li := range liveCopies(c.part) {
 				l := copies[li]
-				out.bytes += uint64(cancelFrameBytes)
-				out.messages++
+				out.Bytes += uint64(cancelFrameBytes)
+				out.Messages++
 				cancelArrive := done + m.Latency
 				if cancelArrive >= l.finish {
 					continue // its response is already on the wire; it delivers and is counted wasted
@@ -376,7 +363,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 				l.occupies = cancelArrive > l.start
 				if l.occupies {
 					burned := uint64(float64(cancelArrive-l.start) / perUnit(l.part, l.node))
-					out.wasted += min(burned, in.units[l.part])
+					out.WastedWork += min(burned, in.units[l.part])
 				}
 				recomputeNode(l.node)
 			}
@@ -386,7 +373,8 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 				continue // a clone beat the detector to it
 			}
 			c.canceled = true // the dead node burned nothing observable
-			out.redispatches++
+			out.Redispatches++
+			out.Rounds = 2 // the re-dispatch adds one communication round
 			// Re-dispatch to the live node with the earliest projected finish.
 			best, bestFin := -1, time.Duration(0)
 			for ni := 0; ni < n; ni++ {
@@ -431,7 +419,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 			if best < 0 {
 				continue // no idle node; a completion will re-trigger the check
 			}
-			out.speculations++
+			out.Speculations++
 			dispatchTo(c.part, best, e.t)
 			scheduleCopy(len(copies) - 1)
 		}
@@ -447,9 +435,7 @@ func (m Model) adaptiveSchedule(in simInput, f Faults) (simOutcome, error) {
 		}
 	}
 	for _, b := range busy {
-		if b > out.maxWorker {
-			out.maxWorker = b
-		}
+		out.MaxWorkerTime = max(out.MaxWorkerTime, b)
 	}
 	return out, nil
 }

@@ -10,7 +10,7 @@ import (
 	"mpq/internal/wire"
 )
 
-// The adaptive scheduler must not change what is computed — only when.
+// The node layout must not change what is computed — only when.
 // Fault-free, with a bounded node pool, the chosen plan is fingerprint-
 // identical to the classic one-node-per-partition run.
 func TestAdaptivePlanMatchesLegacy(t *testing.T) {
@@ -29,12 +29,12 @@ func TestAdaptivePlanMatchesLegacy(t *testing.T) {
 	if lf, af := wire.PlanFingerprint(legacy.Best), wire.PlanFingerprint(adaptive.Best); lf != af {
 		t.Fatalf("adaptive plan diverged: %s != %s", af, lf)
 	}
-	if adaptive.Metrics.Speculations != 0 || adaptive.Metrics.WastedWork != 0 {
-		t.Fatalf("fault-free adaptive run speculated: %+v", adaptive.Metrics)
+	if adaptive.Cluster.Speculations != 0 || adaptive.Cluster.WastedWork != 0 {
+		t.Fatalf("fault-free adaptive run speculated: %+v", *adaptive.Cluster)
 	}
 }
 
-// The acceptance criterion of the adaptive scheduler: under a scripted
+// The acceptance criterion of simulated speculation: under a scripted
 // stall, a speculative run completes in less than 60% of the
 // non-speculative virtual wall-time, and the chosen plan stays
 // fingerprint-identical to the fault-free run. Virtual time makes this
@@ -62,26 +62,26 @@ func TestStallSpeculationBeatsWaitingDeterministically(t *testing.T) {
 	}
 
 	cf := wire.PlanFingerprint(clean.Best)
-	for name, r := range map[string]*Result{"stalled": slow, "speculative": fast} {
+	for name, r := range map[string]*core.Answer{"stalled": slow, "speculative": fast} {
 		if f := wire.PlanFingerprint(r.Best); f != cf {
 			t.Fatalf("%s plan diverged from fault-free run: %s != %s", name, f, cf)
 		}
 	}
-	if slow.Metrics.VirtualTime <= clean.Metrics.VirtualTime {
-		t.Fatalf("stall had no effect: stalled %v <= clean %v", slow.Metrics.VirtualTime, clean.Metrics.VirtualTime)
+	if slow.Cluster.VirtualTime <= clean.Cluster.VirtualTime {
+		t.Fatalf("stall had no effect: stalled %v <= clean %v", slow.Cluster.VirtualTime, clean.Cluster.VirtualTime)
 	}
-	if limit := slow.Metrics.VirtualTime * 6 / 10; fast.Metrics.VirtualTime >= limit {
+	if limit := slow.Cluster.VirtualTime * 6 / 10; fast.Cluster.VirtualTime >= limit {
 		t.Fatalf("speculation too slow: %v, want < 60%% of %v (= %v)",
-			fast.Metrics.VirtualTime, slow.Metrics.VirtualTime, limit)
+			fast.Cluster.VirtualTime, slow.Cluster.VirtualTime, limit)
 	}
-	if fast.Metrics.Speculations == 0 {
+	if fast.Cluster.Speculations == 0 {
 		t.Fatal("speculative run recorded no speculations")
 	}
-	if fast.Metrics.WastedWork == 0 {
+	if fast.Cluster.WastedWork == 0 {
 		t.Fatal("speculative run recorded no wasted work — the canceled straggler burned compute")
 	}
-	if fast.Metrics.RecoveryOverhead <= 0 {
-		t.Fatalf("speculative run under a stall should still report overhead, got %v", fast.Metrics.RecoveryOverhead)
+	if fast.Cluster.RecoveryOverhead <= 0 {
+		t.Fatalf("speculative run under a stall should still report overhead, got %v", fast.Cluster.RecoveryOverhead)
 	}
 
 	// Determinism: the virtual schedule must replay bit for bit.
@@ -89,12 +89,12 @@ func TestStallSpeculationBeatsWaitingDeterministically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Metrics != fast.Metrics {
-		t.Fatalf("speculative schedule not deterministic:\n first %+v\nsecond %+v", fast.Metrics, again.Metrics)
+	if *again.Cluster != *fast.Cluster {
+		t.Fatalf("speculative schedule not deterministic:\n first %+v\nsecond %+v", *fast.Cluster, *again.Cluster)
 	}
 }
 
-// A dead node under the adaptive scheduler recovers through detection +
+// A dead node in a bounded pool recovers through detection +
 // re-dispatch, and speculation can even pre-empt the detector; either
 // way the plan is unchanged.
 func TestAdaptiveDeadNodeRecovers(t *testing.T) {
@@ -113,10 +113,10 @@ func TestAdaptiveDeadNodeRecovers(t *testing.T) {
 	if cf, df := wire.PlanFingerprint(clean.Best), wire.PlanFingerprint(dead.Best); cf != df {
 		t.Fatalf("dead-node plan diverged: %s != %s", df, cf)
 	}
-	if dead.Metrics.Redispatches == 0 {
+	if dead.Cluster.Redispatches == 0 {
 		t.Fatal("dead node produced no re-dispatches")
 	}
-	if dead.Metrics.VirtualTime <= clean.Metrics.VirtualTime {
+	if dead.Cluster.VirtualTime <= clean.Cluster.VirtualTime {
 		t.Fatal("death and recovery cost no virtual time")
 	}
 }
@@ -139,9 +139,9 @@ func TestMultiResourceCPUShapesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quick.Metrics.VirtualTime >= base.Metrics.VirtualTime {
+	if quick.Cluster.VirtualTime >= base.Cluster.VirtualTime {
 		t.Fatalf("4x CPUs did not shorten the schedule: %v >= %v",
-			quick.Metrics.VirtualTime, base.Metrics.VirtualTime)
+			quick.Cluster.VirtualTime, base.Cluster.VirtualTime)
 	}
 	if bf, qf := wire.PlanFingerprint(base.Best), wire.PlanFingerprint(quick.Best); bf != qf {
 		t.Fatalf("resource model changed the plan: %s != %s", qf, bf)
@@ -166,8 +166,8 @@ func TestMultiResourceMemorySpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spilled.Metrics.VirtualTime <= roomy.Metrics.VirtualTime {
-		t.Fatalf("spill cost no time: %v <= %v", spilled.Metrics.VirtualTime, roomy.Metrics.VirtualTime)
+	if spilled.Cluster.VirtualTime <= roomy.Cluster.VirtualTime {
+		t.Fatalf("spill cost no time: %v <= %v", spilled.Cluster.VirtualTime, roomy.Cluster.VirtualTime)
 	}
 	if rf, sf := wire.PlanFingerprint(roomy.Best), wire.PlanFingerprint(spilled.Best); rf != sf {
 		t.Fatalf("spill changed the plan: %s != %s", sf, rf)
@@ -196,5 +196,73 @@ func TestAdaptiveValidation(t *testing.T) {
 	}
 	if err := (Faults{Speculate: true, SpecMultiplier: 0.3}).Validate(4); err == nil {
 		t.Fatal("speculation multiplier below 1 accepted")
+	}
+}
+
+// In the classic layout the stall script names partition IDs: stalling
+// the partition with the least work slows exactly that partition, so
+// the slowest node's busy time is the larger of its stalled compute and
+// every other partition's normal compute.
+func TestClassicStallHitsNamedPartition(t *testing.T) {
+	q := gen(t, 12, 2)
+	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
+	model := Default()
+	clean, err := RunMPQ(context.Background(), model, q, spec, Faults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := 0
+	for _, w := range clean.PerWorker {
+		if w.Stats.WorkUnits() < clean.PerWorker[p].Stats.WorkUnits() {
+			p = w.PartID
+		}
+	}
+	res, err := RunMPQ(context.Background(), model, q, spec, Faults{Stalled: []int{p}, StallFactor: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := model.compute(50 * clean.PerWorker[p].Stats.WorkUnits())
+	for _, w := range clean.PerWorker {
+		if w.PartID != p {
+			want = max(want, model.compute(w.Stats.WorkUnits()))
+		}
+	}
+	if got := res.Cluster.MaxWorkerTime; got != want {
+		t.Fatalf("stalling partition %d: MaxWorkerTime %v, want %v", p, got, want)
+	}
+}
+
+// Golden schedules: any change to placement, NIC serialization, failure
+// detection or speculation shows up here as a diff.
+func TestScheduleGolden(t *testing.T) {
+	q := gen(t, 10, 7)
+	spec := core.JobSpec{Space: partition.Linear, Workers: 8}
+	pool := Default()
+	pool.Nodes = 3
+	cases := []struct {
+		name   string
+		model  Model
+		faults Faults
+		want   Metrics
+	}{
+		{"classic", Default(), Faults{},
+			Metrics{VirtualTime: 116510180, MaxWorkerTime: 13688000, Bytes: 8136, Messages: 16}},
+		{"classic dead 1,2", Default(), Faults{Dead: []int{1, 2}},
+			Metrics{VirtualTime: 10117306710, MaxWorkerTime: 27376000, Bytes: 8830, Messages: 18}},
+		{"3 nodes stall speculate", pool, Faults{Stalled: []int{0}, StallFactor: 50, Speculate: true},
+			Metrics{VirtualTime: 572173170, MaxWorkerTime: 471357690, Bytes: 8846, Messages: 20}},
+	}
+	for _, c := range cases {
+		res, err := RunMPQ(context.Background(), c.model, q, spec, c.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Metrics{
+			VirtualTime: res.Cluster.VirtualTime, MaxWorkerTime: res.Cluster.MaxWorkerTime,
+			Bytes: res.Cluster.Bytes, Messages: res.Cluster.Messages,
+		}
+		if got != c.want {
+			t.Errorf("%s: got %+v\nwant %+v", c.name, got, c.want)
+		}
 	}
 }

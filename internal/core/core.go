@@ -16,7 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"time"
 
@@ -308,7 +308,45 @@ func FinalPrune(spec JobSpec, frontiers [][]*plan.Node) (best *plan.Node, fronti
 	if best == nil {
 		return nil, nil, fmt.Errorf("core: no plan returned by any worker")
 	}
+	if math.IsInf(best.Cost, 0) || math.IsNaN(best.Cost) || math.IsInf(best.Card, 0) || math.IsNaN(best.Card) {
+		// Every plan overflowed float64, so the comparison above picked
+		// among ties: there is no optimum to report.
+		return nil, nil, fmt.Errorf("core: best plan has non-finite cost %g or cardinality %g", best.Cost, best.Card)
+	}
 	return best, frontier, nil
+}
+
+// PartResult is one partition's outcome as the master received it: the
+// partition-optimal plans, the worker's DP counters and its elapsed
+// time (wall-clock or virtual, as the engine measures it).
+type PartResult struct {
+	Plans   []*plan.Node
+	Stats   plan.Stats
+	Elapsed time.Duration
+}
+
+// Assemble turns per-partition results, indexed by partition ID, into
+// an Answer: it fills Stats, MaxWorkerStats, MaxWorkerElapsed, PerWorker,
+// Best and Frontier, the last two through FinalPrune. Every master calls
+// it; each sets its own Net, Cluster and Elapsed on the result.
+func Assemble(spec JobSpec, parts []PartResult) (*Answer, error) {
+	ans := &Answer{PerWorker: make([]WorkerReport, len(parts))}
+	frontiers := make([][]*plan.Node, len(parts))
+	for partID, p := range parts {
+		ans.PerWorker[partID] = WorkerReport{PartID: partID, Plans: len(p.Plans), Stats: p.Stats, Elapsed: p.Elapsed}
+		ans.Stats.Add(p.Stats)
+		if p.Stats.WorkUnits() > ans.MaxWorkerStats.WorkUnits() {
+			ans.MaxWorkerStats = p.Stats
+		}
+		ans.MaxWorkerElapsed = max(ans.MaxWorkerElapsed, p.Elapsed)
+		frontiers[partID] = p.Plans
+	}
+	best, frontier, err := FinalPrune(spec, frontiers)
+	if err != nil {
+		return nil, err
+	}
+	ans.Best, ans.Frontier = best, frontier
+	return ans, nil
 }
 
 // Optimize runs MPQ with in-process goroutine workers: the Master
@@ -345,13 +383,8 @@ func OptimizeContext(ctx context.Context, q *query.Query, spec JobSpec, maxParal
 		maxParallel = m
 	}
 
-	type outcome struct {
-		partID  int
-		res     *dp.Result
-		elapsed time.Duration
-		err     error
-	}
-	results := make([]outcome, m)
+	parts := make([]PartResult, m)
+	errs := make([]error, m)
 	sem := make(chan struct{}, maxParallel)
 	var wg sync.WaitGroup
 	for partID := 0; partID < m; partID++ {
@@ -361,48 +394,32 @@ func OptimizeContext(ctx context.Context, q *query.Query, spec JobSpec, maxParal
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
-				results[partID] = outcome{partID: partID, err: ctx.Err()}
+				errs[partID] = ctx.Err()
 				return
 			}
 			defer func() { <-sem }()
 			t0 := time.Now()
 			res, err := RunWorkerContext(ctx, q, spec, partID)
-			results[partID] = outcome{partID: partID, res: res, elapsed: time.Since(t0), err: err}
+			if err != nil {
+				errs[partID] = err
+				return
+			}
+			parts[partID] = PartResult{Plans: res.Plans, Stats: res.Stats, Elapsed: time.Since(t0)}
 		}(partID)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: optimization canceled: %w", context.Cause(ctx))
 	}
-
-	ans := &Answer{}
-	frontiers := make([][]*plan.Node, 0, m)
-	for _, oc := range results {
-		if oc.err != nil {
-			return nil, fmt.Errorf("core: worker %d: %w", oc.partID, oc.err)
+	for partID, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: worker %d: %w", partID, err)
 		}
-		ans.PerWorker = append(ans.PerWorker, WorkerReport{
-			PartID:  oc.partID,
-			Plans:   len(oc.res.Plans),
-			Stats:   oc.res.Stats,
-			Elapsed: oc.elapsed,
-		})
-		ans.Stats.Add(oc.res.Stats)
-		if oc.res.Stats.WorkUnits() > ans.MaxWorkerStats.WorkUnits() {
-			ans.MaxWorkerStats = oc.res.Stats
-		}
-		if oc.elapsed > ans.MaxWorkerElapsed {
-			ans.MaxWorkerElapsed = oc.elapsed
-		}
-		frontiers = append(frontiers, oc.res.Plans)
 	}
-	sort.Slice(ans.PerWorker, func(i, j int) bool { return ans.PerWorker[i].PartID < ans.PerWorker[j].PartID })
-
-	best, frontier, err := FinalPrune(spec, frontiers)
+	ans, err := Assemble(spec, parts)
 	if err != nil {
 		return nil, err
 	}
-	ans.Best, ans.Frontier = best, frontier
 	ans.Elapsed = time.Since(start)
 	return ans, nil
 }

@@ -108,17 +108,12 @@ type ClusterMetrics struct {
 	// re-running the optimizer.
 	RecoveryOverhead time.Duration
 	// Speculations counts speculative clones the simulated master
-	// dispatched under the adaptive scheduler (cluster.Faults.Speculate):
-	// partitions whose elapsed time exceeded the straggler threshold and
-	// were re-sent to an idle node.
+	// dispatched (cluster.Faults.Speculate): partitions whose elapsed
+	// time exceeded the straggler threshold and were re-sent to an idle
+	// node.
 	Speculations int
 	// WastedWork is the DP work (in work units) burned by speculative-
 	// race losers before their cancel arrived — compute that produced no
 	// aggregated answer. Zero when nothing was speculated.
 	WastedWork uint64
-	// Probes counts re-admission probes sent to excluded nodes. The
-	// one-round simulator only reports this when a fault script drives
-	// exclusion and re-admission; the TCP runtime's equivalent lives on
-	// NetStats.Probes.
-	Probes int
 }

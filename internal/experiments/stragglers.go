@@ -79,7 +79,7 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cleanTimes[i] = ms(res.Metrics.VirtualTime)
+		cleanTimes[i] = ms(res.Cluster.VirtualTime)
 		cleanFPs[i] = wire.PlanFingerprint(res.Best)
 	}
 	cleanMedian := median(append([]float64{}, cleanTimes...))
@@ -106,11 +106,11 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				times = append(times, ms(res.Metrics.VirtualTime))
-				row.Speculations += res.Metrics.Speculations
-				row.Redispatches += res.Metrics.Redispatches
-				wasted += res.Metrics.WastedWork
-				work += res.Metrics.Work.WorkUnits()
+				times = append(times, ms(res.Cluster.VirtualTime))
+				row.Speculations += res.Cluster.Speculations
+				row.Redispatches += res.Cluster.Redispatches
+				wasted += res.Cluster.WastedWork
+				work += res.Cluster.Work.WorkUnits()
 				if wire.PlanFingerprint(res.Best) != cleanFPs[i] {
 					row.PlanSafe = false
 				}

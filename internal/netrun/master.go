@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mpq/internal/core"
-	"mpq/internal/plan"
 	"mpq/internal/query"
 	"mpq/internal/wire"
 )
@@ -1069,28 +1068,17 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 	// with retries, scheduling and batch interleaving, but the answers
 	// must not.
 	for qi, job := range jobs {
-		ans := answers[qi]
-		m := job.Spec.Workers
-		frontiers := make([][]*plan.Node, 0, m)
-		for partID := 0; partID < m; partID++ {
+		parts := make([]core.PartResult, job.Spec.Workers)
+		for partID := range parts {
 			pd := done[qi][partID]
-			ans.Stats.Add(pd.resp.Stats)
-			if pd.resp.Stats.WorkUnits() > ans.MaxWorkerStats.WorkUnits() {
-				ans.MaxWorkerStats = pd.resp.Stats
-			}
-			if pd.elapsed > ans.MaxWorkerElapsed {
-				ans.MaxWorkerElapsed = pd.elapsed
-			}
-			ans.PerWorker = append(ans.PerWorker, core.WorkerReport{
-				PartID: partID, Plans: len(pd.resp.Plans), Stats: pd.resp.Stats, Elapsed: pd.elapsed,
-			})
-			frontiers = append(frontiers, pd.resp.Plans)
+			parts[partID] = core.PartResult{Plans: pd.resp.Plans, Stats: pd.resp.Stats, Elapsed: pd.elapsed}
 		}
-		best, frontier, err := core.FinalPrune(job.Spec, frontiers)
+		ans, err := core.Assemble(job.Spec, parts)
 		if err != nil {
 			return nil, err
 		}
-		ans.Best, ans.Frontier = best, frontier
+		ans.Net, ans.Elapsed = answers[qi].Net, answers[qi].Elapsed
+		answers[qi] = ans
 	}
 	return answers, nil
 }

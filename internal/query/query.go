@@ -245,7 +245,7 @@ func (q *Query) Validate() error {
 		return fmt.Errorf("query: too many tables")
 	}
 	for i, t := range q.Tables {
-		if !(t.Cardinality > 0) {
+		if !(t.Cardinality > 0) || math.IsInf(t.Cardinality, 0) {
 			return fmt.Errorf("query: table %d cardinality %g", i, t.Cardinality)
 		}
 	}

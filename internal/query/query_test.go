@@ -201,6 +201,13 @@ func TestValidate(t *testing.T) {
 	if err := q3.Validate(); err == nil {
 		t.Fatal("selectivity 2 passed Validate")
 	}
+	// New rejects an infinite cardinality; Validate must too, because a
+	// Query can be built by assigning Tables directly.
+	q4 := MustNew(tables(1, 2))
+	q4.Tables[1].Cardinality = math.Inf(1)
+	if err := q4.Validate(); err == nil {
+		t.Fatal("+Inf cardinality passed Validate")
+	}
 }
 
 func TestAttrID(t *testing.T) {

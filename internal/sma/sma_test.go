@@ -80,8 +80,8 @@ func TestSMATrafficDwarfsMPQ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if smaRes.Metrics.Bytes < 10*mpqRes.Metrics.Bytes {
-			t.Fatalf("m=%d: SMA bytes %d not >> MPQ bytes %d", m, smaRes.Metrics.Bytes, mpqRes.Metrics.Bytes)
+		if smaRes.Cluster.Bytes < 10*mpqRes.Cluster.Bytes {
+			t.Fatalf("m=%d: SMA bytes %d not >> MPQ bytes %d", m, smaRes.Cluster.Bytes, mpqRes.Cluster.Bytes)
 		}
 	}
 }
@@ -94,10 +94,10 @@ func TestSMATrafficGrowsWithWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i > 0 && res.Metrics.Bytes <= prev {
-			t.Fatalf("m=%d: bytes %d did not grow from %d", m, res.Metrics.Bytes, prev)
+		if i > 0 && res.Cluster.Bytes <= prev {
+			t.Fatalf("m=%d: bytes %d did not grow from %d", m, res.Cluster.Bytes, prev)
 		}
-		prev = res.Metrics.Bytes
+		prev = res.Cluster.Bytes
 	}
 }
 
@@ -109,12 +109,12 @@ func TestSMARoundsAndMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One round per join-result cardinality: 2..n.
-	if res.Metrics.Rounds != 7 {
-		t.Fatalf("rounds = %d want 7", res.Metrics.Rounds)
+	if res.Cluster.Rounds != 7 {
+		t.Fatalf("rounds = %d want 7", res.Cluster.Rounds)
 	}
 	// Per round: m task/delta messages down + m responses up.
-	if res.Metrics.Messages != res.Metrics.Rounds*2*m {
-		t.Fatalf("messages = %d want %d", res.Metrics.Messages, res.Metrics.Rounds*2*m)
+	if res.Cluster.Messages != res.Cluster.Rounds*2*m {
+		t.Fatalf("messages = %d want %d", res.Cluster.Messages, res.Cluster.Rounds*2*m)
 	}
 }
 
@@ -129,9 +129,9 @@ func TestSMAMemoryConstantInWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = res.Metrics.MaxMemoEntries
-		} else if res.Metrics.MaxMemoEntries != first {
-			t.Fatalf("m=%d: memo %d != %d", m, res.Metrics.MaxMemoEntries, first)
+			first = res.Cluster.MaxMemoEntries
+		} else if res.Cluster.MaxMemoEntries != first {
+			t.Fatalf("m=%d: memo %d != %d", m, res.Cluster.MaxMemoEntries, first)
 		}
 	}
 	if first != uint64(1<<9-1) {
