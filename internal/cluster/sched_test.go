@@ -22,15 +22,15 @@ func TestAdaptivePlanMatchesLegacy(t *testing.T) {
 	}
 	model := Default()
 	model.Nodes = 3
-	adaptive, err := RunMPQ(context.Background(), model, q, spec, Faults{})
+	pooled, err := RunMPQ(context.Background(), model, q, spec, Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lf, af := wire.PlanFingerprint(legacy.Best), wire.PlanFingerprint(adaptive.Best); lf != af {
-		t.Fatalf("adaptive plan diverged: %s != %s", af, lf)
+	if lf, af := wire.PlanFingerprint(legacy.Best), wire.PlanFingerprint(pooled.Best); lf != af {
+		t.Fatalf("bounded-pool plan diverged: %s != %s", af, lf)
 	}
-	if adaptive.Cluster.Speculations != 0 || adaptive.Cluster.WastedWork != 0 {
-		t.Fatalf("fault-free adaptive run speculated: %+v", *adaptive.Cluster)
+	if pooled.Cluster.Speculations != 0 || pooled.Cluster.WastedWork != 0 {
+		t.Fatalf("fault-free bounded-pool run speculated: %+v", *pooled.Cluster)
 	}
 }
 

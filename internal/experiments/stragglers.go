@@ -13,7 +13,7 @@ import (
 // StragglerRow is one measured (stall factor, policy) point of the
 // straggler sweep: median virtual optimization time under a scripted
 // stall, with and without speculative re-dispatch, against the
-// fault-free adaptive schedule on the same bounded node pool.
+// fault-free schedule on the same bounded node pool.
 type StragglerRow struct {
 	// Tables, Workers and Nodes describe the workload and pool.
 	Tables  int
@@ -50,7 +50,7 @@ func stragglerScale(cfg Config) (tables, workers, nodes int, factors []float64) 
 	return 10, 8, 4, []float64{50, 200}
 }
 
-// Stragglers sweeps stall factor × {wait, speculate} on the adaptive
+// Stragglers sweeps stall factor × {wait, speculate} on the
 // virtual-time scheduler: node 0 of a bounded pool computes StallFactor×
 // slower than the model's rate, and the simulated master either waits
 // out the straggler or races it against a speculative clone on an idle
@@ -132,7 +132,7 @@ func Stragglers(cfg Config) ([]StragglerRow, error) {
 func StragglersTable(rows []StragglerRow) *Table {
 	t := &Table{
 		Title:   "Straggler handling — scripted stall on a bounded node pool, wait vs speculate",
-		Caption: "adaptive virtual-time scheduler; plans stay fingerprint-identical to the fault-free run",
+		Caption: "virtual-time scheduler; plans stay fingerprint-identical to the fault-free run",
 		Columns: []string{"tables", "workers", "nodes", "stall", "policy", "time (ms)", "x fault-free", "speculations", "re-dispatches", "wasted %", "plans identical"},
 	}
 	for _, r := range rows {

@@ -617,10 +617,10 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 	consecFails := make([]int, k)
 	var retryQ []unit
 	outstanding := 0
-	answers := make([]*core.Answer, len(jobs))
-	for qi := range answers {
-		answers[qi] = &core.Answer{Net: &core.NetStats{}}
-	}
+	// Per-query traffic and wall-clock time; the answers themselves are
+	// built once every partition is in (see the aggregation below).
+	nets := make([]core.NetStats, len(jobs))
+	wall := make([]time.Duration, len(jobs))
 
 	// Adaptive-scheduling state, inert unless Speculate or ReadmitAfter
 	// is set: what each worker runs and since when, how many copies of
@@ -799,7 +799,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 				orig := runningU[nj]
 				clone := unit{qi: orig.qi, partID: orig.partID, attempts: orig.attempts,
 					failedOn: append(slices.Clone(orig.failedOn), nj)}
-				answers[orig.qi].Net.Speculations++
+				nets[orig.qi].Speculations++
 				sendTo(ni, clone, false)
 			}
 		}
@@ -810,7 +810,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 					continue
 				}
 				if u, ok := probeUnitFor(ni); ok {
-					answers[u.qi].Net.Probes++
+					nets[u.qi].Probes++
 					sendTo(ni, u, true)
 				} else {
 					// Nothing suitable to probe with; look again one backoff
@@ -930,18 +930,18 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 		// and was aggregated; whatever this attempt brought back is
 		// redundant by construction.
 		stale := isDone(res.unit)
-		ans := answers[res.unit.qi]
-		ans.Net.BytesSent += res.sent
-		ans.Net.BytesReceived += res.rcvd
-		ans.Net.Messages += res.msgs
+		ns := &nets[res.unit.qi]
+		ns.BytesSent += res.sent
+		ns.BytesReceived += res.rcvd
+		ns.Messages += res.msgs
 		for _, ig := range res.ignored {
-			origin := answers[ig.qi].Net
+			origin := &nets[ig.qi]
 			origin.BytesReceived += ig.bytes
 			origin.Messages++
 			origin.IgnoredFrames++
 		}
 		if res.dialed {
-			ans.Net.Dials++
+			ns.Dials++
 		}
 		if res.err == nil {
 			consecFails[ni] = 0
@@ -949,19 +949,19 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 				// The excluded worker answered a probe correctly: readmit it.
 				alive[ni] = true
 				aliveCount++
-				ans.Net.Readmitted++
+				ns.Readmitted++
 			}
 			if stale {
 				// The race's loser finished anyway (our cancel lost its own
 				// race with the response): correct but redundant, discarded.
-				ans.Net.SpeculationWasted++
+				ns.SpeculationWasted++
 				continue
 			}
 			done[res.unit.qi][res.unit.partID] = partDone{resp: res.resp, elapsed: res.elapsed}
 			svcTimes[res.unit.qi] = append(svcTimes[res.unit.qi], res.elapsed)
 			nDone++
 			if remaining[res.unit.qi]--; remaining[res.unit.qi] == 0 {
-				ans.Elapsed = time.Since(start)
+				wall[res.unit.qi] = time.Since(start)
 			}
 			if _, racing := inflightCnt[key]; racing {
 				// This partition is still running elsewhere: tell the losers
@@ -969,8 +969,8 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 				for nj := 0; nj < k; nj++ {
 					if nj != ni && runningActive[nj] && runningU[nj].qi == key.qi && runningU[nj].partID == key.partID {
 						if n := sts[nj].cancelInFlight(); n > 0 {
-							ans.Net.BytesSent += uint64(n)
-							ans.Net.Messages++
+							ns.BytesSent += uint64(n)
+							ns.Messages++
 						}
 					}
 				}
@@ -981,7 +981,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 		if errors.As(res.err, &we) && we.Code == wire.ErrCanceled {
 			// The loser acknowledged our cancel: benign — no penalty, no
 			// connection drop, nothing to re-dispatch.
-			ans.Net.SpeculationWasted++
+			ns.SpeculationWasted++
 			if wasProbe {
 				// The probe's own partition finished elsewhere before the
 				// probe did. Proves nothing about the worker's health either
@@ -1001,7 +1001,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 				return nil, fmt.Errorf("netrun: partition %d failed %d times, giving up: %w",
 					u.partID, u.attempts, res.err)
 			}
-			ans.Net.Redispatched++
+			ns.Redispatched++
 			retryQ = append(retryQ, u)
 			continue
 		}
@@ -1011,7 +1011,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 				// partition that already has a correct answer: it cannot
 				// poison the batch (the canceled DP may legitimately error
 				// out mid-abort).
-				ans.Net.SpeculationWasted++
+				ns.SpeculationWasted++
 				continue
 			}
 			return nil, fmt.Errorf("netrun: %w", res.err)
@@ -1050,7 +1050,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 			// down a chaos proxy mid-stall. The partition is answered;
 			// nothing to re-dispatch. The consecutive-failure penalty above
 			// stands: the worker did fail at the transport level.
-			ans.Net.SpeculationWasted++
+			ns.SpeculationWasted++
 			continue
 		}
 		u := res.unit
@@ -1060,13 +1060,14 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 			return nil, fmt.Errorf("netrun: partition %d failed %d times, giving up: %w",
 				u.partID, u.attempts, res.err)
 		}
-		ans.Net.Redispatched++
+		ns.Redispatched++
 		retryQ = append(retryQ, u)
 	}
 
 	// Aggregate each query in partition-ID order: arrival order varies
 	// with retries, scheduling and batch interleaving, but the answers
 	// must not.
+	answers := make([]*core.Answer, len(jobs))
 	for qi, job := range jobs {
 		parts := make([]core.PartResult, job.Spec.Workers)
 		for partID := range parts {
@@ -1077,7 +1078,7 @@ func (ms *Master) OptimizeBatch(ctx context.Context, jobs []Job) ([]*core.Answer
 		if err != nil {
 			return nil, err
 		}
-		ans.Net, ans.Elapsed = answers[qi].Net, answers[qi].Elapsed
+		ans.Net, ans.Elapsed = &nets[qi], wall[qi]
 		answers[qi] = ans
 	}
 	return answers, nil
